@@ -16,23 +16,23 @@ from .analysis import (AmplitudeTable, SweepResult, SweepRow, amplitude_table,
 from .beam import BeamSpec, area_moment, load_beam, natural_frequency, tip_stiffness
 from .filters import (Biquad, FilterDesign, design_butterworth, filtfilt,
                       magnitude_response, transfer)
-from .motion import (MomentIntegrals, MotionSample, MotionSpec, SetpointTable,
-                     load_setpoints, simpson_grid, timing_residual)
+from .motion import (MomentIntegrals, MotionSpec, SetpointTable, load_setpoints,
+                     simpson_grid, timing_residual)
 from .oscillator import (OscillatorTrace, ResidualReport, action_value,
                          euler_lagrange_residual, final_relative_state, integrate,
-                         oscillator_ode, relative_motion, residual_report,
-                         simulate_relative, tip_trace, write_relative_trace)
+                         relative_motion, residual_report, simulate_relative,
+                         tip_trace, write_relative_trace)
 from .timeseries import TimeSeries, load_trace, save_trace
 
 __all__ = [
     "AmplitudeTable", "BeamSpec", "Biquad", "FilterDesign", "MomentIntegrals",
-    "MotionSample", "MotionSpec", "OscillatorTrace", "ResidualReport",
-    "SetpointTable", "SweepResult", "SweepRow", "TimeSeries",
+    "MotionSpec", "OscillatorTrace", "ResidualReport", "SetpointTable",
+    "SweepResult", "SweepRow", "TimeSeries",
     "action_value", "amplitude_table", "area_moment", "design_butterworth",
     "energy_figure", "euler_lagrange_residual", "filtfilt", "final_relative_state",
     "integrate", "load_beam", "load_setpoints", "load_trace", "magnitude_response",
-    "natural_frequency", "oscillator_ode", "relative_motion", "residual_amplitude",
-    "residual_report", "save_trace", "simpson_grid", "simulate_relative",
+    "natural_frequency", "relative_motion", "residual_amplitude", "residual_report",
+    "save_trace", "simpson_grid", "simulate_relative",
     "suppression_ratio", "sweep_n", "timing_residual", "tip_stiffness",
     "tip_trace", "transfer", "write_relative_trace",
 ]

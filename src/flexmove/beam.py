@@ -9,7 +9,16 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
+
+
+def positive_finite(name: str, value) -> float:
+    """Return value as a float if it is a finite positive real number (bools excluded)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (math.isfinite(value) and value > 0.0)):
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+    return float(value)
 
 
 def area_moment(b: float, h: float) -> float:
@@ -45,9 +54,7 @@ class BeamSpec:
 
     def __post_init__(self) -> None:
         for name in ("l", "b", "h", "E", "m_tip"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            object.__setattr__(self, name, positive_finite(name, getattr(self, name)))
         if self.h > self.b:
             raise ValueError("thickness h must not exceed width b for a thin strip")
 

@@ -1,9 +1,10 @@
 """Command-line surface: plan setpoints, simulate, sweep, filter and report.
 
 All quantities are SI.  Flags override values from an optional JSON config
-document (--config), whose keys equal the long flag names with dashes turned
-into underscores.  Every validation failure exits with status 2 and a
-one-line diagnostic; I/O failures exit with status 1.
+document (--config), whose keys are the long flag names with dashes turned
+into underscores (``in``, ``n_from``, ``cutoff_hz``).  Every validation
+failure, argument errors included, exits with status 2 and a one-line
+diagnostic; I/O failures exit with status 1.
 """
 
 from __future__ import annotations
@@ -20,6 +21,17 @@ from .oscillator import residual_report, simulate_relative, write_relative_trace
 from .timeseries import fmt, load_trace, save_trace
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser that raises usage errors as ValueError instead of exiting."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+_CONFIG = _Parser(add_help=False)
+_CONFIG.add_argument("--config", help="JSON config document; flags override it")
+
+
 def _load_config(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -28,54 +40,58 @@ def _load_config(path) -> dict:
     return doc
 
 
-class _Options:
-    """Flag values with config-file fallback (flags win when given)."""
+def _config_flags(doc: dict) -> list[str]:
+    """Flag tokens for a config document: key -> --key with _ turned into -.
 
-    def __init__(self, args: argparse.Namespace):
-        self._args = args
-        self._config = _load_config(args.config) if getattr(args, "config", None) else {}
-
-    def get(self, key, default=None):
-        value = getattr(self._args, key, None)
-        if value is not None:
-            return value
-        return self._config.get(key, default)
-
-    def require(self, key, flag: str):
-        value = self.get(key)
-        if value is None:
-            raise ValueError(f"missing required option {flag}")
-        return value
-
-    def flag(self, key) -> bool:
-        return bool(getattr(self._args, key, False) or self._config.get(key, False))
+    true becomes a bare flag, false and null are left out, and a list is
+    joined with commas.
+    """
+    tokens = []
+    for key, value in doc.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            tokens.append(flag)
+        elif isinstance(value, list):
+            tokens.append(f"{flag}={','.join(str(item) for item in value)}")
+        elif value is not False and value is not None:
+            tokens.append(f"{flag}={value}")
+    return tokens
 
 
-def _resolve_spec(opt: _Options) -> MotionSpec:
-    L = float(opt.require("L", "--L"))
-    n = float(opt.require("n", "--n"))
-    exploratory = opt.flag("exploratory")
-    k = opt.get("k")
-    beam_path = opt.get("beam")
-    mass = opt.get("mass")
-    if k is not None and beam_path is not None:
+def _with_config(argv: list[str]) -> list[str]:
+    """Splice the --config document in right after the subcommand, ahead of the
+    user's flags, so that the user's flags win."""
+    path = _CONFIG.parse_known_args(argv)[0].config
+    if path is None:
+        return argv
+    return argv[:1] + _config_flags(_load_config(path)) + argv[1:]
+
+
+def _payload(args) -> tuple[float, float]:
+    """Natural frequency and mass from exactly one of --k and --beam.
+
+    --mass overrides the beam document's tip mass and is required with --k.
+    """
+    if args.k is not None and args.beam is not None:
         raise ValueError("give exactly one frequency source: --k or --beam, not both")
-    if beam_path is not None:
-        beam = load_beam(beam_path, tip_mass=None if mass is None else float(mass))
-        return MotionSpec.from_beam(beam, L=L, n=n, exploratory=exploratory)
-    if k is None:
+    if args.beam is not None:
+        beam = load_beam(args.beam, tip_mass=args.mass)
+        return beam.frequency, beam.m_tip
+    if args.k is None:
         raise ValueError("a frequency source is required: --k or --beam")
-    if mass is None:
+    if args.mass is None:
         raise ValueError("missing required option --mass (carried object mass)")
-    return MotionSpec(L=L, k=float(k), n=n, m=float(mass), exploratory=exploratory)
+    return args.k, args.mass
+
+
+def _resolve_spec(args) -> MotionSpec:
+    k, m = _payload(args)
+    return MotionSpec(L=args.L, k=k, n=args.n, m=m, exploratory=args.exploratory)
 
 
 def _cmd_plan(args) -> int:
-    opt = _Options(args)
-    spec = _resolve_spec(opt)
-    rate = float(opt.get("rate", 1500.0))
-    table = spec.sample_uniform(rate)
-    table.write_csv(opt.require("out", "--out"))
+    spec = _resolve_spec(args)
+    spec.sample_uniform(args.rate).write_csv(args.out)
     print(f"t1 = {fmt(spec.t1)} s")
     print(f"p = {fmt(spec.p)} rad/s")
     print(f"peak acceleration = {fmt(spec.peak_acceleration)} m/s^2")
@@ -83,138 +99,126 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    opt = _Options(args)
-    spec = _resolve_spec(opt)
-    step = opt.get("step")
-    trace = simulate_relative(spec, None if step is None else float(step))
+    spec = _resolve_spec(args)
+    trace = simulate_relative(spec, args.step)
     report = residual_report(spec, trace)
-    trace_out = opt.get("trace_out")
-    if trace_out is not None:
-        write_relative_trace(trace_out, spec, trace)
+    if args.trace_out is not None:
+        write_relative_trace(args.trace_out, spec, trace)
     print(json.dumps(report.as_dict(), indent=2))
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    opt = _Options(args)
-    L = float(opt.require("L", "--L"))
-    mass = float(opt.require("mass", "--mass"))
-    k = opt.get("k")
-    beam_path = opt.get("beam")
-    if k is not None and beam_path is not None:
-        raise ValueError("give exactly one frequency source: --k or --beam, not both")
-    if beam_path is not None:
-        k = load_beam(beam_path, tip_mass=mass).frequency
-    elif k is None:
-        raise ValueError("a frequency source is required: --k or --beam")
-    result = sweep_n(L=L, k=float(k), m=mass,
-                     n_from=float(opt.require("n_from", "--n-from")),
-                     n_to=float(opt.require("n_to", "--n-to")),
-                     step=float(opt.require("step", "--step")))
-    out = opt.require("out", "--out")
-    result.write_csv(out)
-    print(f"wrote {len(result)} rows to {out}")
+    k, m = _payload(args)
+    result = sweep_n(L=args.L, k=k, m=m, n_from=args.n_from, n_to=args.n_to, step=args.step)
+    result.write_csv(args.out)
+    print(f"wrote {len(result)} rows to {args.out}")
     return 0
 
 
 def _cmd_filter(args) -> int:
-    opt = _Options(args)
-    series = load_trace(opt.require("infile", "--in"))
-    design = design_butterworth(order=int(opt.get("order", 4)),
-                                cutoff_hz=float(opt.get("cutoff_hz", 20.0)),
+    series = load_trace(args.infile)
+    design = design_butterworth(order=args.order, cutoff_hz=args.cutoff_hz,
                                 rate_hz=series.rate)
-    save_trace(opt.require("out", "--out"), filtfilt(design, series))
+    save_trace(args.out, filtfilt(design, series))
     return 0
 
 
 def _cmd_report(args) -> int:
-    opt = _Options(args)
-    beam_path = opt.require("beam", "--beam")
-    masses_raw = opt.require("masses", "--masses")
-    if isinstance(masses_raw, str):
-        masses = [float(item) for item in masses_raw.split(",") if item.strip()]
-    else:
-        masses = [float(item) for item in masses_raw]
+    masses = args.masses
     table = amplitude_table(
-        masses, load_beam(beam_path, tip_mass=masses[0] if masses else None),
-        L=float(opt.require("L", "--L")),
-        n=float(opt.get("n", 2.0)),
-        unmatched_n=float(opt.get("unmatched_n", 2.5)))
-    out = opt.get("out")
-    if out is not None:
-        table.write_csv(out)
+        masses, load_beam(args.beam, tip_mass=masses[0] if masses else None),
+        L=args.L, n=args.n, unmatched_n=args.unmatched_n)
+    if args.out is not None:
+        table.write_csv(args.out)
     print(table.to_text())
     return 0
 
 
-def _add_motion_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--L", type=float, help="displacement of the move [m]")
+def float_list(text: str) -> list[float]:
+    """Comma-separated numbers, empty items skipped (the --masses type)."""
+    return [float(item) for item in text.split(",") if item.strip()]
+
+
+def _add_frequency_source(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--L", type=float, required=True, help="displacement of the move [m]")
     parser.add_argument("--k", type=float, help="payload natural angular frequency [rad/s]")
     parser.add_argument("--beam", help="JSON beam document supplying the frequency")
+
+
+def _add_motion_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_frequency_source(parser)
     parser.add_argument("--mass", type=float, help="carried object mass [kg]")
-    parser.add_argument("--n", type=float, help="period multiple t1/t_c (integer >= 2 unless --exploratory)")
+    parser.add_argument("--n", type=float, required=True,
+                        help="period multiple t1/t_c (integer >= 2 unless --exploratory)")
     parser.add_argument("--exploratory", action="store_true",
                         help="allow non-integer n > 1 (move will not end quiescent)")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flexmove",
         description="Plan and analyse oscillation-free moves of flexible payloads.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    plan = sub.add_parser("plan", help="write a t,s,v,a setpoint CSV for one move")
+    plan = sub.add_parser("plan", parents=[_CONFIG],
+                          help="write a t,s,v,a setpoint CSV for one move")
     _add_motion_arguments(plan)
-    plan.add_argument("--rate", type=float, help="setpoint sample rate [Hz] (default 1500)")
-    plan.add_argument("--out", help="output CSV path")
-    plan.add_argument("--config", help="JSON config document; flags override it")
+    plan.add_argument("--rate", type=float, default=1500.0,
+                      help="setpoint sample rate [Hz] (default 1500)")
+    plan.add_argument("--out", required=True, help="output CSV path")
     plan.set_defaults(handler=_cmd_plan)
 
-    simulate = sub.add_parser("simulate", help="integrate the relative motion and report quiescence")
+    simulate = sub.add_parser("simulate", parents=[_CONFIG],
+                              help="integrate the relative motion and report quiescence")
     _add_motion_arguments(simulate)
     simulate.add_argument("--step", type=float, help="RK4 time step [s] (default t1/20000)")
     simulate.add_argument("--trace-out", dest="trace_out", help="optional t,x_r,v_r,a_r CSV path")
-    simulate.add_argument("--config", help="JSON config document; flags override it")
     simulate.set_defaults(handler=_cmd_simulate)
 
-    sweep = sub.add_parser("sweep", help="scan the period multiple and tabulate residuals")
-    sweep.add_argument("--L", type=float, help="displacement of the move [m]")
-    sweep.add_argument("--k", type=float, help="payload natural angular frequency [rad/s]")
-    sweep.add_argument("--beam", help="JSON beam document supplying the frequency")
-    sweep.add_argument("--mass", type=float, help="carried object mass [kg]")
-    sweep.add_argument("--n-from", dest="n_from", type=float, help="first period multiple (> 1)")
-    sweep.add_argument("--n-to", dest="n_to", type=float, help="last period multiple")
-    sweep.add_argument("--step", type=float, help="multiple increment")
-    sweep.add_argument("--out", help="output CSV path")
-    sweep.add_argument("--config", help="JSON config document; flags override it")
+    sweep = sub.add_parser("sweep", parents=[_CONFIG],
+                           help="scan the period multiple and tabulate residuals")
+    _add_frequency_source(sweep)
+    sweep.add_argument("--mass", type=float, required=True, help="carried object mass [kg]")
+    sweep.add_argument("--n-from", dest="n_from", type=float, required=True,
+                       help="first period multiple (> 1)")
+    sweep.add_argument("--n-to", dest="n_to", type=float, required=True,
+                       help="last period multiple")
+    sweep.add_argument("--step", type=float, required=True, help="multiple increment")
+    sweep.add_argument("--out", required=True, help="output CSV path")
     sweep.set_defaults(handler=_cmd_sweep)
 
-    filt = sub.add_parser("filter", help="zero-phase low-pass a t,<value> trace CSV")
-    filt.add_argument("--in", dest="infile", help="input trace CSV")
-    filt.add_argument("--out", help="output trace CSV")
-    filt.add_argument("--order", type=int, help="filter order (2, 4, 6 or 8; default 4)")
-    filt.add_argument("--cutoff-hz", dest="cutoff_hz", type=float, help="cutoff frequency [Hz] (default 20)")
-    filt.add_argument("--config", help="JSON config document; flags override it")
+    filt = sub.add_parser("filter", parents=[_CONFIG],
+                          help="zero-phase low-pass a t,<value> trace CSV")
+    filt.add_argument("--in", dest="infile", required=True, help="input trace CSV")
+    filt.add_argument("--out", required=True, help="output trace CSV")
+    filt.add_argument("--order", type=int, default=4,
+                      help="filter order (2, 4, 6 or 8; default 4)")
+    filt.add_argument("--cutoff-hz", dest="cutoff_hz", type=float, default=20.0,
+                      help="cutoff frequency [Hz] (default 20)")
     filt.set_defaults(handler=_cmd_filter)
 
-    report = sub.add_parser("report", help="matched vs mistimed amplitude table across masses")
-    report.add_argument("--beam", help="JSON beam document (geometry and material)")
-    report.add_argument("--masses", help="comma-separated carried masses [kg]")
-    report.add_argument("--L", type=float, help="displacement of the move [m]")
-    report.add_argument("--n", type=float, help="matched period multiple (default 2)")
-    report.add_argument("--unmatched-n", dest="unmatched_n", type=float,
+    report = sub.add_parser("report", parents=[_CONFIG],
+                            help="matched vs mistimed amplitude table across masses")
+    report.add_argument("--beam", required=True,
+                        help="JSON beam document (geometry and material)")
+    report.add_argument("--masses", type=float_list, required=True,
+                        help="comma-separated carried masses [kg]")
+    report.add_argument("--L", type=float, required=True, help="displacement of the move [m]")
+    report.add_argument("--n", type=float, default=2.0,
+                        help="matched period multiple (default 2)")
+    report.add_argument("--unmatched-n", dest="unmatched_n", type=float, default=2.5,
                         help="mistimed period multiple (default 2.5)")
     report.add_argument("--out", help="optional CSV output path")
-    report.add_argument("--config", help="JSON config document; flags override it")
     report.set_defaults(handler=_cmd_report)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        args = build_parser().parse_args(_with_config(argv))
         return args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

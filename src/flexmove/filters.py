@@ -37,6 +37,17 @@ class Biquad:
         return abs(self.a2) < 1.0 and abs(self.a1) < 1.0 + self.a2
 
 
+def _check_parameters(order: int, cutoff_hz: float, rate_hz: float) -> None:
+    if order not in ALLOWED_ORDERS:
+        raise ValueError(f"filter order must be one of {ALLOWED_ORDERS}, got {order}")
+    if rate_hz <= 0.0:
+        raise ValueError("sample rate must be positive")
+    if not 0.0 < cutoff_hz < 0.5 * rate_hz:
+        raise ValueError(
+            f"cutoff must lie strictly between 0 and the Nyquist frequency "
+            f"{0.5 * rate_hz:g} Hz, got {cutoff_hz:g} Hz")
+
+
 @dataclass(frozen=True)
 class FilterDesign:
     """Low-pass design as cascaded biquads, tied to one sample rate."""
@@ -47,12 +58,7 @@ class FilterDesign:
     sections: tuple[Biquad, ...]
 
     def __post_init__(self) -> None:
-        if self.order not in ALLOWED_ORDERS:
-            raise ValueError(f"filter order must be one of {ALLOWED_ORDERS}, got {self.order}")
-        if not 0.0 < self.cutoff_hz < 0.5 * self.rate_hz:
-            raise ValueError(
-                f"cutoff must lie strictly between 0 and the Nyquist frequency "
-                f"{0.5 * self.rate_hz:g} Hz, got {self.cutoff_hz:g} Hz")
+        _check_parameters(self.order, self.cutoff_hz, self.rate_hz)
         if len(self.sections) != self.order // 2:
             raise ValueError("cascade must hold order/2 sections")
         if not all(sec.is_stable() for sec in self.sections):
@@ -65,14 +71,7 @@ def design_butterworth(order: int, cutoff_hz: float, rate_hz: float) -> FilterDe
     Each analog pole pair with damping sin((2i+1)*pi/(2*order)) maps to one
     biquad; every section has unit DC gain, so the cascade does too.
     """
-    if order not in ALLOWED_ORDERS:
-        raise ValueError(f"filter order must be one of {ALLOWED_ORDERS}, got {order}")
-    if rate_hz <= 0.0:
-        raise ValueError("sample rate must be positive")
-    if not 0.0 < cutoff_hz < 0.5 * rate_hz:
-        raise ValueError(
-            f"cutoff must lie strictly between 0 and the Nyquist frequency "
-            f"{0.5 * rate_hz:g} Hz, got {cutoff_hz:g} Hz")
+    _check_parameters(order, cutoff_hz, rate_hz)
     warp = math.tan(math.pi * cutoff_hz / rate_hz)
     w2 = warp * warp
     sections = []

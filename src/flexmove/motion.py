@@ -17,6 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.integrate import simpson
 
+from .beam import positive_finite
 from .timeseries import read_numeric_csv, uniform_rate, write_csv
 
 TWO_PI = 2.0 * math.pi
@@ -63,16 +64,6 @@ class MomentIntegrals(NamedTuple):
     sin_moment: float   # integral of a(t) sin(k t) dt; vanishes iff n is an integer
 
 
-@dataclass(frozen=True)
-class MotionSample:
-    """Kinematic state of the carrier at one instant."""
-
-    t: float
-    s: float
-    v: float
-    a: float
-
-
 @dataclass(frozen=True, eq=False)
 class SetpointTable:
     """Uniformly sampled motion setpoints (time, position, velocity, acceleration)."""
@@ -85,10 +76,6 @@ class SetpointTable:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def row(self, i: int) -> MotionSample:
-        return MotionSample(float(self.t[i]), float(self.s[i]),
-                            float(self.v[i]), float(self.a[i]))
 
     def write_csv(self, path) -> None:
         write_csv(path, ("t", "s", "v", "a"), (self.t, self.s, self.v, self.a))
@@ -143,16 +130,14 @@ class MotionSpec:
 
     def __post_init__(self) -> None:
         for name in ("L", "k", "n", "m"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            object.__setattr__(self, name, positive_finite(name, getattr(self, name)))
         if self.exploratory:
             if self.n <= 1.0:
                 raise ValueError(
                     "period multiple n must exceed 1 (n = 1 forces the payload at "
                     "resonance, n < 1 above it)")
         else:
-            if not float(self.n).is_integer():
+            if not self.n.is_integer():
                 raise ValueError(
                     f"period multiple n = {self.n} is not an integer; pass "
                     "exploratory=True to study mistimed moves")
@@ -200,13 +185,10 @@ class MotionSpec:
         arr = self._times(t)
         return _like(t, self.L * self.p**2 / TWO_PI * np.sin(self.p * arr))
 
-    def sample(self, t: float) -> MotionSample:
-        return MotionSample(float(t), self.position(t), self.velocity(t), self.acceleration(t))
-
     def sample_uniform(self, rate: float) -> SetpointTable:
         """Sample the motion law on the grid i/rate, i = 0 .. floor(rate*t1)."""
-        if rate <= 0.0:
-            raise ValueError("sample rate must be positive")
+        if not 0.0 < rate < math.inf:
+            raise ValueError(f"sample rate must be positive and finite, got {rate!r}")
         count = math.floor(rate * self.t1) + 1
         t = np.arange(count) / rate
         return SetpointTable(rate=rate, t=t, s=self.position(t),

@@ -60,12 +60,6 @@ def final_relative_state(spec: MotionSpec) -> tuple[float, float]:
     return gain * (spec.p / spec.k) * sin_term, gain * spec.p * cos_term
 
 
-def oscillator_ode(k: float, forcing, state, t: float) -> tuple[float, float]:
-    """Right side of the first-order system (x, v)' = (v, -k**2 * x - u(t))."""
-    x, v = state
-    return v, -k * k * x - forcing(t)
-
-
 @dataclass(frozen=True, eq=False)
 class OscillatorTrace:
     """Oscillator states on a uniform time grid."""
@@ -83,14 +77,8 @@ class OscillatorTrace:
 
 
 def _forcing_values(forcing, times: np.ndarray) -> np.ndarray:
-    """Evaluate forcing on a grid, vectorised when the callable allows it."""
-    try:
-        values = np.asarray(forcing(times), dtype=float)
-        if values.shape == times.shape:
-            return values
-    except Exception:
-        pass
-    return np.array([float(forcing(t)) for t in times])
+    """Evaluate an array-aware forcing on a grid; a scalar result is constant forcing."""
+    return np.broadcast_to(np.asarray(forcing(times), dtype=float), times.shape)
 
 
 def integrate(forcing, k: float, t_end: float, step: float,
@@ -195,15 +183,12 @@ def tip_trace(spec: MotionSpec, rate: float, kind: str = "acceleration") -> Time
     ``kind="acceleration"`` emulates an accelerometer riding on the payload
     tip; ``kind="position"`` gives the absolute tip position.
     """
-    if rate <= 0.0:
-        raise ValueError("sample rate must be positive")
-    count = math.floor(rate * spec.t1) + 1
-    t = np.arange(count) / rate
-    x, _, a = relative_motion(spec, t)
+    table = spec.sample_uniform(rate)
+    x, _, a = relative_motion(spec, table.t)
     if kind == "acceleration":
-        return TimeSeries(rate=rate, t0=0.0, values=spec.acceleration(t) + a, label="a_tip")
+        return TimeSeries(rate=rate, t0=0.0, values=table.a + a, label="a_tip")
     if kind == "position":
-        return TimeSeries(rate=rate, t0=0.0, values=spec.position(t) + x, label="x_tip")
+        return TimeSeries(rate=rate, t0=0.0, values=table.s + x, label="x_tip")
     raise ValueError(f"unknown tip trace kind {kind!r}; use 'acceleration' or 'position'")
 
 
@@ -245,6 +230,5 @@ def euler_lagrange_residual(spec: MotionSpec, t, position_fn=None, accel_fn=None
 
 def write_relative_trace(path, spec: MotionSpec, trace: OscillatorTrace) -> None:
     """CSV of an integrated relative motion with header t,x_r,v_r,a_r."""
-    u = _forcing_values(spec.acceleration, trace.t)
-    a = -spec.k**2 * trace.x - u
+    a = -spec.k**2 * trace.x - spec.acceleration(trace.t)
     write_csv(path, ("t", "x_r", "v_r", "a_r"), (trace.t, trace.x, trace.v, a))

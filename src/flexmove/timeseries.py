@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: significant digits written to CSV; enough for a lossless float round trip
+#: significant digits written to CSV.  Not a lossless float round trip: a
+#: reloaded value differs from the written float by up to 5e-12 relative.
 CSV_DIGITS = 12
 
 

@@ -29,13 +29,11 @@ import time
 import numpy as np
 import pytest
 
+from conftest import BENCH, BENCH_BEAM
 from flexmove import (BeamSpec, MotionSpec, TimeSeries, action_value,
                       amplitude_table, design_butterworth, energy_figure,
                       filtfilt, relative_motion, residual_report,
                       simulate_relative, suppression_ratio)
-
-BENCH = dict(L=0.41, k=5.78, n=2.0, m=0.09)
-BENCH_BEAM = dict(l=0.305, b=0.013, h=0.5e-3, E=2.1e11, m_tip=0.09)
 
 QUIESCENCE_TOL = 1e-6          # fraction of L
 ORACLE_TOL = 1e-8              # metres, uniform over the move

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import BENCH
 from flexmove import (MotionSpec, amplitude_table, energy_figure,
                       residual_amplitude, residual_report, suppression_ratio,
                       sweep_n)
@@ -11,12 +12,12 @@ from flexmove.timeseries import read_numeric_csv
 # Frozen drive-cost figure for the bench move; equals m*L^2*p^2/pi^2.
 BENCH_ENERGY = 0.012802835429356531
 
-BENCH = dict(L=0.41, k=5.78, m=0.09)
+MOVE = {key: BENCH[key] for key in ("L", "k", "m")}
 
 
 class TestSweep:
     def test_half_step_sweep(self):
-        result = sweep_n(**BENCH, n_from=2.0, n_to=4.0, step=0.5)
+        result = sweep_n(**MOVE, n_from=2.0, n_to=4.0, step=0.5)
         by_n = {row.n: row for row in result.rows}
         assert set(by_n) == {2.0, 2.5, 3.0, 3.5, 4.0}
         for n in (2.0, 3.0, 4.0):
@@ -28,25 +29,25 @@ class TestSweep:
         assert by_n[2.5].residual > by_n[3.5].residual
 
     def test_quarter_step_row_count(self):
-        assert len(sweep_n(**BENCH, n_from=2.0, n_to=4.0, step=0.25)) == 9
+        assert len(sweep_n(**MOVE, n_from=2.0, n_to=4.0, step=0.25)) == 9
 
     def test_rows_carry_motion_time_and_energy(self):
-        result = sweep_n(**BENCH, n_from=2.0, n_to=3.0, step=1.0)
+        result = sweep_n(**MOVE, n_from=2.0, n_to=3.0, step=1.0)
         assert result.rows[0].t1 == pytest.approx(2 * 2 * math.pi / 5.78, rel=1e-12)
         assert result.rows[1].t1 == pytest.approx(3 * 2 * math.pi / 5.78, rel=1e-12)
         assert all(row.energy > 0.0 for row in result.rows)
 
     def test_range_validation(self):
         with pytest.raises(ValueError, match="above n = 1"):
-            sweep_n(**BENCH, n_from=1.0, n_to=4.0, step=0.5)
+            sweep_n(**MOVE, n_from=1.0, n_to=4.0, step=0.5)
         with pytest.raises(ValueError, match="step"):
-            sweep_n(**BENCH, n_from=2.0, n_to=4.0, step=0.0)
+            sweep_n(**MOVE, n_from=2.0, n_to=4.0, step=0.0)
         with pytest.raises(ValueError, match="n_to"):
-            sweep_n(**BENCH, n_from=4.0, n_to=2.0, step=0.5)
+            sweep_n(**MOVE, n_from=4.0, n_to=2.0, step=0.5)
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "sweep.csv"
-        result = sweep_n(**BENCH, n_from=2.0, n_to=4.0, step=0.25)
+        result = sweep_n(**MOVE, n_from=2.0, n_to=4.0, step=0.25)
         result.write_csv(path)
         header, columns = read_numeric_csv(path, n_columns=5)
         assert header == ["n", "t1", "residual", "energy", "quiescent"]

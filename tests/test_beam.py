@@ -1,10 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import BENCH_BEAM
 from flexmove import (BeamSpec, MotionSpec, area_moment, load_beam,
                       natural_frequency, tip_stiffness)
 
@@ -85,14 +87,26 @@ class TestBeamSpec:
 
     @pytest.mark.parametrize("field", ["l", "b", "h", "E", "m_tip"])
     def test_non_positive_fields_rejected(self, field):
-        params = dict(l=0.305, b=0.013, h=0.5e-3, E=2.1e11, m_tip=0.09)
+        params = dict(BENCH_BEAM)
         params[field] = 0.0
         with pytest.raises(ValueError, match=field):
             BeamSpec(**params)
 
+    def test_numpy_integers_accepted(self, bench_beam):
+        beam = BeamSpec(**dict(BENCH_BEAM, E=np.int64(210_000_000_000)))
+        assert beam == bench_beam
+        assert type(beam.E) is float
+
+    @pytest.mark.parametrize("field", ["l", "b", "E", "m_tip"])
+    def test_bools_rejected(self, field):
+        params = dict(BENCH_BEAM)
+        params[field] = True
+        with pytest.raises(ValueError, match=f"^{field} must be a positive finite number"):
+            BeamSpec(**params)
+
 
 class TestLoadBeam:
-    DOC = dict(l=0.305, b=0.013, h=0.5e-3, E=2.1e11, m_tip=0.09)
+    DOC = BENCH_BEAM
 
     def write(self, tmp_path, doc):
         path = tmp_path / "beam.json"

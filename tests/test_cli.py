@@ -3,16 +3,15 @@ import json
 import numpy as np
 import pytest
 
+from conftest import BENCH_BEAM
 from flexmove.cli import main
 from flexmove.timeseries import read_numeric_csv, write_csv
-
-BEAM_DOC = dict(l=0.305, b=0.013, h=0.5e-3, E=2.1e11, m_tip=0.09)
 
 
 @pytest.fixture
 def beam_json(tmp_path):
     path = tmp_path / "beam.json"
-    path.write_text(json.dumps(BEAM_DOC))
+    path.write_text(json.dumps(BENCH_BEAM))
     return str(path)
 
 
@@ -67,6 +66,13 @@ class TestPlan:
         code, _, stderr = run(capsys, "plan", "--L", "0.41", "--n", "2",
                               "--mass", "0.09", "--out", str(tmp_path / "x.csv"))
         assert code == 2 and "frequency source" in stderr
+
+    def test_argument_errors_return_2_with_one_line(self, tmp_path, capsys):
+        code, _, stderr = run(capsys, "plan", "--L", "abc", "--k", "5.78", "--n", "2",
+                              "--mass", "0.09", "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert "--L" in stderr
 
     def test_deterministic_output(self, tmp_path, capsys):
         first = tmp_path / "a.csv"
@@ -210,6 +216,48 @@ class TestConfigFile:
         assert code == 0
         _, columns = read_numeric_csv(out, n_columns=4)
         assert len(columns[0]) == 109  # floor(50 * t1) + 1
+
+    def write_config(self, tmp_path, **doc):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_in_key_names_the_input(self, tmp_path, capsys):
+        inp, out = tmp_path / "tip.csv", tmp_path / "filtered.csv"
+        write_csv(inp, ("t", "a_tip"), (np.arange(120) / 1500.0, np.full(120, 2.5)))
+        config = self.write_config(tmp_path, **{"in": str(inp), "out": str(out),
+                                                "cutoff_hz": 20.0})
+        code, _, stderr = run(capsys, "filter", "--config", config)
+        assert code == 0, stderr
+        assert read_numeric_csv(out, n_columns=2)[0] == ["t", "a_tip"]
+
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        config = self.write_config(tmp_path, L=0.41, k=5.78, n=2, mass=0.09,
+                                   out=str(tmp_path / "x.csv"), sample_rate=100.0)
+        code, _, stderr = run(capsys, "plan", "--config", config)
+        assert code == 2
+        assert "unrecognized arguments: --sample-rate=100.0" in stderr
+
+    @pytest.mark.parametrize("key,value,n", [("exploratory", "false", 2.5), ("rate", True, 2)])
+    def test_mistyped_values_are_argument_errors(self, tmp_path, capsys, key, value, n):
+        out = tmp_path / "x.csv"
+        config = self.write_config(tmp_path, L=0.41, k=5.78, n=n, mass=0.09, out=str(out),
+                                   **{key: value})
+        code, _, stderr = run(capsys, "plan", "--config", config)
+        assert code == 2
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert f"--{key}" in stderr and "Traceback" not in stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("masses,count", [(5, 1), ([0.02, 0.09], 2)])
+    def test_masses_via_config(self, tmp_path, capsys, beam_json, masses, count):
+        out = tmp_path / "table.csv"
+        config = self.write_config(tmp_path, beam=beam_json, masses=masses, L=0.41,
+                                   out=str(out))
+        code, _, stderr = run(capsys, "report", "--config", config)
+        assert code == 0, stderr
+        _, columns = read_numeric_csv(out, n_columns=4)
+        assert len(columns[0]) == count
 
     def test_exploratory_via_config(self, tmp_path, capsys):
         config = tmp_path / "run.json"

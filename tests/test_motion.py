@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import BENCH
 from flexmove import MotionSpec, load_setpoints, timing_residual
 
 TWO_PI = 2.0 * math.pi
@@ -55,12 +56,19 @@ class TestSpecConstruction:
 
     @pytest.mark.parametrize("field,value", [
         ("L", 0.0), ("L", -0.41), ("k", 0.0), ("m", -1.0), ("L", math.nan), ("k", math.inf),
+        ("L", True), ("k", True), ("m", True),
     ])
     def test_non_positive_inputs_rejected(self, field, value):
-        params = dict(L=0.41, k=5.78, n=2.0, m=0.09)
+        params = dict(BENCH)
         params[field] = value
         with pytest.raises(ValueError, match=field):
             MotionSpec(**params)
+
+
+    def test_numpy_integers_accepted(self):
+        spec = MotionSpec(L=np.int64(1), k=np.int64(6), n=np.int64(2), m=np.int64(1))
+        assert spec == MotionSpec(L=1.0, k=6.0, n=2.0, m=1.0)
+        assert all(type(getattr(spec, name)) is float for name in ("L", "k", "n", "m"))
 
 
 class TestMotionLaw:
@@ -144,8 +152,7 @@ class TestSampling:
         # floor(rate * t1) + 1 with t1 = 2.1741125630...
         table = bench_spec.sample_uniform(1500.0)
         assert len(table) == 3262
-        first = table.row(0)
-        assert (first.t, first.s, first.v, first.a) == (0.0, 0.0, 0.0, 0.0)
+        assert (table.t[0], table.s[0], table.v[0], table.a[0]) == (0.0, 0.0, 0.0, 0.0)
         assert table.t[-1] == pytest.approx(bench_spec.t1, abs=1 / 1500.0)
         assert table.s[-1] == pytest.approx(0.41, rel=1e-9)
 
@@ -161,6 +168,11 @@ class TestSampling:
     def test_rate_must_be_positive(self, bench_spec):
         with pytest.raises(ValueError, match="positive"):
             bench_spec.sample_uniform(0.0)
+
+    @pytest.mark.parametrize("rate", [math.inf, math.nan])
+    def test_rate_must_be_finite(self, bench_spec, rate):
+        with pytest.raises(ValueError, match="finite"):
+            bench_spec.sample_uniform(rate)
 
     def test_setpoint_csv_round_trip(self, bench_spec, tmp_path):
         path = tmp_path / "setpoints.csv"

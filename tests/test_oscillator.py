@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flexmove import (MotionSpec, action_value, euler_lagrange_residual,
-                      final_relative_state, integrate, oscillator_ode,
-                      relative_motion, residual_report, simulate_relative,
-                      tip_trace, write_relative_trace)
+                      final_relative_state, integrate, relative_motion,
+                      residual_report, simulate_relative, tip_trace,
+                      write_relative_trace)
 from flexmove.timeseries import read_numeric_csv
 
 TWO_PI = 2.0 * math.pi
@@ -64,22 +64,6 @@ class TestClosedForm:
         x, _, a = relative_motion(spec, t)
         residual = a + k * k * x + spec.acceleration(t)
         assert abs(residual) <= 1e-10 * max(1.0, spec.peak_acceleration)
-
-
-class TestOde:
-    def test_equilibrium(self):
-        assert oscillator_ode(5.78, lambda t: 0.0, (0.0, 0.0), 0.0) == (0.0, 0.0)
-
-    def test_free_oscillator_restoring_force(self):
-        dx, dv = oscillator_ode(2.0, lambda t: 0.0, (0.3, 0.0), 0.0)
-        assert dx == 0.0
-        assert dv == pytest.approx(-4.0 * 0.3)
-
-    def test_forcing_sign(self, bench_spec):
-        u = bench_spec.acceleration(0.1)
-        dx, dv = oscillator_ode(bench_spec.k, bench_spec.acceleration, (0.0, 0.0), 0.1)
-        assert dx == 0.0
-        assert dv == pytest.approx(-u, rel=1e-15)
 
 
 class TestIntegrator:
