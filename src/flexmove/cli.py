@@ -126,9 +126,10 @@ def _cmd_filter(args) -> int:
 
 def _cmd_report(args) -> int:
     masses = args.masses
-    table = amplitude_table(
-        masses, load_beam(args.beam, tip_mass=masses[0] if masses else None),
-        L=args.L, n=args.n, unmatched_n=args.unmatched_n)
+    if not masses:
+        raise ValueError("at least one carried mass is required")
+    table = amplitude_table(masses, load_beam(args.beam, tip_mass=masses[0]),
+                            L=args.L, n=args.n, unmatched_n=args.unmatched_n)
     if args.out is not None:
         table.write_csv(args.out)
     print(table.to_text())

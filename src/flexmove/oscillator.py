@@ -17,9 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
-from .motion import (DEFAULT_QUAD_INTERVALS, TWO_PI, MotionSpec, _like,
+from .motion import (DEFAULT_QUAD_INTERVALS, TWO_PI, MotionSpec, _like, simpson,
                      simpson_grid, timing_residual)
 from .timeseries import TimeSeries, write_csv
 
@@ -210,7 +209,7 @@ def action_value(spec: MotionSpec, position_fn=None, velocity_fn=None,
     v = np.asarray(v_fn(grid), dtype=float)
     drive = spec.m * spec.L * spec.p**3 / TWO_PI
     integrand = 0.5 * spec.m * v * v - 0.5 * spec.m * spec.p**2 * s * s + drive * grid * s
-    return float(simpson(integrand, x=grid))
+    return simpson(integrand, grid)
 
 
 def euler_lagrange_residual(spec: MotionSpec, t, position_fn=None, accel_fn=None):

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import BENCH
 from flexmove import (MotionSpec, amplitude_table, energy_figure,
-                      residual_amplitude, residual_report, suppression_ratio,
-                      sweep_n)
+                      residual_amplitude, residual_report, simpson_grid,
+                      suppression_ratio, sweep_n)
 from flexmove.timeseries import read_numeric_csv
 
 # Frozen drive-cost figure for the bench move; equals m*L^2*p^2/pi^2.
@@ -104,6 +106,30 @@ class TestEnergyFigure:
         assert tripled_mass / base == pytest.approx(3.0, rel=1e-6)
         assert doubled_length / base == pytest.approx(4.0, rel=1e-6)
         assert doubled_rate / base == pytest.approx(4.0, rel=1e-6)
+
+    def test_default_grid_keeps_the_sign_change_on_a_panel_boundary(self):
+        # t1 / (t1 / 100000) rounds to just above 100000; the grid must still
+        # have 100000 intervals, not 100002, or the kink of |u*v| at t1/2
+        # falls inside a Simpson panel and costs ~7e-10 relative
+        spec = MotionSpec(L=0.41, k=6.0, n=2.0, m=0.09)
+        assert len(simpson_grid(spec.t1, spec.t1 / 100_000)) == 100_001
+        closed_form = spec.m * (spec.L * spec.p / math.pi) ** 2
+        assert energy_figure(spec) == pytest.approx(closed_form, rel=1e-14)
+
+    @settings(max_examples=30, deadline=None)
+    @given(L=st.floats(0.01, 2.0), k=st.floats(0.5, 50.0), m=st.floats(0.01, 1.0),
+           n_from=st.one_of(st.integers(2, 12).map(float), st.floats(1.01, 12.0)),
+           step=st.floats(0.05, 1.0), extra_rows=st.integers(0, 2))
+    def test_sweep_energy_matches_the_quadrature_oracle(self, L, k, m, n_from, step,
+                                                        extra_rows):
+        result = sweep_n(L=L, k=k, m=m, n_from=n_from, n_to=n_from + extra_rows * step,
+                         step=step)
+        for row in result.rows:
+            if row.quiescent:
+                spec = MotionSpec(L=L, k=k, n=float(round(row.n)), m=m)
+            else:
+                spec = MotionSpec(L=L, k=k, n=row.n, m=m, exploratory=True)
+            assert row.energy == pytest.approx(energy_figure(spec), rel=1e-12)
 
     def test_vanishes_with_displacement(self):
         tiny = energy_figure(MotionSpec(L=1e-6, k=5.78, n=2.0, m=0.09))

@@ -136,6 +136,17 @@ class TestSweep:
         assert code == 2
         assert "--n-from" in stderr
 
+    @pytest.mark.parametrize("flag, value", [("--n-to", "inf"), ("--n-from", "nan"),
+                                             ("--n-to", "nan"), ("--step", "nan")])
+    def test_non_finite_range_rejected(self, tmp_path, capsys, flag, value):
+        ranges = {"--n-from": "2", "--n-to": "4", "--step": "0.25", flag: value}
+        code, _, stderr = run(capsys, "sweep", "--L", "0.41", "--k", "5.78", "--mass", "0.09",
+                              *(token for item in ranges.items() for token in item),
+                              "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert stderr.startswith("error:") and stderr.count("\n") == 1
+        assert f"{flag[2:].replace('-', '_')} must be finite" in stderr
+
 
 class TestFilter:
     def make_trace(self, tmp_path, values, rate=1500.0):
@@ -194,6 +205,14 @@ class TestReport:
         code, _, stderr = run(capsys, "report", "--masses", "0.09", "--L", "0.41")
         assert code == 2
         assert "--beam" in stderr
+
+    def test_empty_mass_list_is_named_before_the_beam_is_read(self, capsys, tmp_path):
+        beam = tmp_path / "no_tip_mass.json"
+        beam.write_text(json.dumps({k: v for k, v in BENCH_BEAM.items() if k != "m_tip"}))
+        code, _, stderr = run(capsys, "report", "--beam", str(beam), "--masses", ",",
+                              "--L", "0.41")
+        assert code == 2
+        assert stderr == "error: at least one carried mass is required\n"
 
 
 class TestConfigFile:

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BENCH
-from flexmove import MotionSpec, load_setpoints, timing_residual
+from flexmove import MotionSpec, load_setpoints, simpson_grid, timing_residual
+from flexmove.motion import simpson
 
 TWO_PI = 2.0 * math.pi
 
@@ -216,6 +217,16 @@ class TestMoments:
     def test_coarse_step_rejected(self, bench_spec):
         with pytest.raises(ValueError, match="step"):
             bench_spec.moment_integrals(step=bench_spec.t_c)
+
+    @settings(max_examples=100, deadline=None)
+    @given(t_end=st.floats(1e-3, 1e3), intervals=st.integers(2, 5000),
+           slack=st.floats(0.5, 1.5), omega=st.floats(0.0, 50.0), curve=st.floats(-1.0, 1.0))
+    def test_simpson_matches_scipy_bit_for_bit(self, t_end, intervals, slack, omega, curve):
+        from scipy.integrate import simpson as reference
+
+        grid = simpson_grid(t_end, t_end / intervals * slack)
+        y = np.sin(omega * grid) + curve * grid**2
+        assert simpson(y, grid) == float(reference(y, x=grid))
 
 
 class TestTimingResidual:
