@@ -11,6 +11,16 @@ traces with zero-phase Butterworth filtering, and tabulates how mistimed moves
 compare.
 """
 
+import os
+import sys
+
+# No flexmove routine calls BLAS, so OpenBLAS's worker threads would only spin
+# for a while after numpy loads, taking a second core from a short CLI job.
+# The pool size is read when numpy loads; an explicit setting wins, and a
+# process that loaded numpy first keeps its pool and its environment.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .analysis import (AmplitudeTable, SweepResult, SweepRow, amplitude_table,
                        energy_figure, residual_amplitude, suppression_ratio, sweep_n)
 from .beam import BeamSpec, area_moment, load_beam, natural_frequency, tip_stiffness
