@@ -23,9 +23,8 @@ if "numpy" not in sys.modules:
 
 from .analysis import (AmplitudeTable, SweepResult, SweepRow, amplitude_table,
                        energy_figure, residual_amplitude, suppression_ratio, sweep_n)
-from .beam import BeamSpec, area_moment, load_beam, natural_frequency, tip_stiffness
-from .filters import (Biquad, FilterDesign, design_butterworth, filtfilt,
-                      magnitude_response, transfer)
+from .beam import BeamSpec, load_beam
+from .filters import Biquad, FilterDesign, design_butterworth, filtfilt, magnitude_response
 from .motion import (MomentIntegrals, MotionSpec, SetpointTable, load_setpoints,
                      simpson_grid, timing_residual)
 from .oscillator import (OscillatorTrace, ResidualReport, action_value,
@@ -38,13 +37,13 @@ __all__ = [
     "AmplitudeTable", "BeamSpec", "Biquad", "FilterDesign", "MomentIntegrals",
     "MotionSpec", "OscillatorTrace", "ResidualReport", "SetpointTable",
     "SweepResult", "SweepRow", "TimeSeries",
-    "action_value", "amplitude_table", "area_moment", "design_butterworth",
+    "action_value", "amplitude_table", "design_butterworth",
     "energy_figure", "euler_lagrange_residual", "filtfilt", "final_relative_state",
     "integrate", "load_beam", "load_setpoints", "load_trace", "magnitude_response",
-    "natural_frequency", "relative_motion", "residual_amplitude", "residual_report",
+    "relative_motion", "residual_amplitude", "residual_report",
     "save_trace", "simpson_grid", "simulate_relative",
-    "suppression_ratio", "sweep_n", "timing_residual", "tip_stiffness",
-    "tip_trace", "transfer", "write_relative_trace",
+    "suppression_ratio", "sweep_n", "timing_residual",
+    "tip_trace", "write_relative_trace",
 ]
 
 __version__ = "0.1.0"

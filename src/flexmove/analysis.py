@@ -9,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beam import BeamSpec
-from .motion import DEFAULT_QUAD_INTERVALS, MotionSpec, simpson, simpson_grid
+from .motion import (DEFAULT_QUAD_INTERVALS, MotionSpec, check_grid_size, simpson,
+                     simpson_grid)
 from .oscillator import ResidualReport, final_relative_state
 from .timeseries import write_csv
 
@@ -77,6 +78,7 @@ def sweep_n(L: float, k: float, m: float, n_from: float, n_to: float,
         raise ValueError("sweep step must be positive")
     if n_to < n_from:
         raise ValueError("need n_to >= n_from")
+    check_grid_size((n_to - n_from) / step + 1.0, f"sweep grid with step {step:g}")
     count = int(math.floor((n_to - n_from) / step + 1e-9)) + 1
     rows = []
     for i in range(count):

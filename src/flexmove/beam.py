@@ -21,27 +21,6 @@ def positive_finite(name: str, value) -> float:
     return float(value)
 
 
-def area_moment(b: float, h: float) -> float:
-    """Second moment of area b*h**3/12 of a solid rectangle bending about its thin axis."""
-    if b <= 0.0 or h <= 0.0:
-        raise ValueError("section dimensions must be positive")
-    return b * h**3 / 12.0
-
-
-def tip_stiffness(E: float, I: float, l: float) -> float:
-    """Lateral stiffness 3*E*I/l**3 felt at the free end of a clamped beam."""
-    if E <= 0.0 or I <= 0.0 or l <= 0.0:
-        raise ValueError("E, I and l must be positive")
-    return 3.0 * E * I / l**3
-
-
-def natural_frequency(c: float, m: float) -> float:
-    """Angular frequency sqrt(c/m) [rad/s] of an undamped mass on a spring."""
-    if c <= 0.0 or m <= 0.0:
-        raise ValueError("stiffness and mass must be positive")
-    return math.sqrt(c / m)
-
-
 @dataclass(frozen=True)
 class BeamSpec:
     """Cantilever geometry, material and tip load, all SI."""
@@ -60,16 +39,18 @@ class BeamSpec:
 
     @property
     def second_moment(self) -> float:
-        return area_moment(self.b, self.h)
+        """Second moment of area b*h**3/12 of the section about its thin axis [m^4]."""
+        return self.b * self.h**3 / 12.0
 
     @property
     def stiffness(self) -> float:
-        return tip_stiffness(self.E, self.second_moment, self.l)
+        """Lateral stiffness 3*E*I/l**3 felt at the free end of the clamped strip [N/m]."""
+        return 3.0 * self.E * self.second_moment / self.l**3
 
     @property
     def frequency(self) -> float:
-        """Natural angular frequency of the tip mass on the strip [rad/s]."""
-        return natural_frequency(self.stiffness, self.m_tip)
+        """Natural angular frequency sqrt(c/m_tip) of the tip mass on the strip [rad/s]."""
+        return math.sqrt(self.stiffness / self.m_tip)
 
 
 def load_beam(path, tip_mass: float | None = None) -> BeamSpec:

@@ -85,21 +85,15 @@ def design_butterworth(order: int, cutoff_hz: float, rate_hz: float) -> FilterDe
                         sections=tuple(sections))
 
 
-def transfer(design: FilterDesign, freq_hz):
-    """Single-pass frequency response of the cascade at the given frequencies."""
+def magnitude_response(design: FilterDesign, freq_hz):
+    """Single-pass gain |H(f)| of the cascade; the forward-backward pass applies its square."""
     f = np.asarray(freq_hz, dtype=float)
     z1 = np.exp(-2j * np.pi * f / design.rate_hz)
     z2 = z1 * z1
     h = np.ones_like(z1, dtype=complex)
     for sec in design.sections:
         h = h * (sec.b0 + sec.b1 * z1 + sec.b2 * z2) / (1.0 + sec.a1 * z1 + sec.a2 * z2)
-    return complex(h) if np.ndim(freq_hz) == 0 else h
-
-
-def magnitude_response(design: FilterDesign, freq_hz):
-    """Single-pass gain |H(f)|; the forward-backward pass applies its square."""
-    h = transfer(design, freq_hz)
-    return abs(h) if np.ndim(freq_hz) == 0 else np.abs(h)
+    return abs(complex(h)) if np.ndim(freq_hz) == 0 else np.abs(h)
 
 
 def _biquad_pass(sec: Biquad, x: np.ndarray) -> np.ndarray:

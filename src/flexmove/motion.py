@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +23,17 @@ TWO_PI = 2.0 * math.pi
 
 #: default quadrature resolution: intervals per move
 DEFAULT_QUAD_INTERVALS = 100_000
+
+#: most points a grid sized from user input may hold, far above the largest
+#: default grid (the 20 001-point RK4 trajectory)
+MAX_GRID_POINTS = 10_000_000
+
+
+def check_grid_size(points: float, what: str) -> None:
+    """Reject a grid of more than MAX_GRID_POINTS points before it is allocated."""
+    if not points <= MAX_GRID_POINTS:
+        raise ValueError(
+            f"{what} would hold {points:.4g} points, more than the limit of {MAX_GRID_POINTS}")
 
 
 def simpson_grid(t_end: float, step: float) -> np.ndarray:
@@ -97,15 +108,6 @@ class SetpointTable:
 
     def write_csv(self, path) -> None:
         write_csv(path, ("t", "s", "v", "a"), (self.t, self.s, self.v, self.a))
-
-    def acceleration_interpolant(self) -> Callable:
-        """Piecewise-linear acceleration lookup, usable as integrator forcing."""
-        t, a = self.t, self.a
-
-        def forcing(q):
-            return np.interp(q, t, a)
-
-        return forcing
 
 
 def load_setpoints(path) -> SetpointTable:
@@ -201,12 +203,13 @@ class MotionSpec:
     def acceleration(self, t) -> float | np.ndarray:
         """Carrier acceleration u(t) = L*p**2/(2*pi) * sin(p*t); skew symmetric."""
         arr = self._times(t)
-        return _like(t, self.L * self.p**2 / TWO_PI * np.sin(self.p * arr))
+        return _like(t, self.peak_acceleration * np.sin(self.p * arr))
 
     def sample_uniform(self, rate: float) -> SetpointTable:
         """Sample the motion law on the grid i/rate, i = 0 .. floor(rate*t1)."""
         if not 0.0 < rate < math.inf:
             raise ValueError(f"sample rate must be positive and finite, got {rate!r}")
+        check_grid_size(rate * self.t1 + 1.0, f"setpoint grid at {rate:g} Hz")
         count = math.floor(rate * self.t1) + 1
         t = np.arange(count) / rate
         return SetpointTable(rate=rate, t=t, s=self.position(t),

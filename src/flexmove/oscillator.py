@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .motion import (DEFAULT_QUAD_INTERVALS, TWO_PI, MotionSpec, _like, simpson,
-                     simpson_grid, timing_residual)
+from .motion import (DEFAULT_QUAD_INTERVALS, TWO_PI, MotionSpec, _like, check_grid_size,
+                     simpson, simpson_grid, timing_residual)
 from .timeseries import TimeSeries, write_csv
 
 #: default number of RK4 steps across one move
@@ -32,15 +32,24 @@ MIN_STEPS_PER_PERIOD = 50
 QUIESCENCE_TOL_FACTOR = 1e-6
 
 
+def _gain(spec: MotionSpec) -> float:
+    """Gain L*p**2 / (2*pi*(k**2 - p**2)) shared by every closed-form relative state.
+
+    With k = n*p it equals L / (2*pi*(n - 1)*(n + 1)); forming n - 1 from n
+    keeps the digits that k**2 - p**2 cancels as n approaches 1 from above.
+    """
+    return spec.L / (TWO_PI * (spec.n - 1.0) * (spec.n + 1.0))
+
+
 def relative_motion(spec: MotionSpec, t):
     """Closed-form relative displacement, velocity and acceleration at time t.
 
-    All three share the gain L*p**2 / (2*pi*(k**2 - p**2)); velocity and
+    All three share the gain L / (2*pi*(n - 1)*(n + 1)); velocity and
     acceleration carry one extra factor p.
     """
     arr = spec._times(t)
     k, p = spec.k, spec.p
-    gain = spec.L * p * p / (TWO_PI * (k * k - p * p))
+    gain = _gain(spec)
     sin_k, sin_p = np.sin(k * arr), np.sin(p * arr)
     x = gain * (p / k * sin_k - sin_p)
     v = gain * p * (np.cos(k * arr) - np.cos(p * arr))
@@ -55,7 +64,7 @@ def final_relative_state(spec: MotionSpec) -> tuple[float, float]:
     residuals of the timing equations; integer n gives exact zeros.
     """
     cos_term, sin_term = timing_residual(spec.n)
-    gain = spec.L * spec.p**2 / (TWO_PI * (spec.k**2 - spec.p**2))
+    gain = _gain(spec)
     return gain * (spec.p / spec.k) * sin_term, gain * spec.p * cos_term
 
 
@@ -95,6 +104,7 @@ def integrate(forcing, k: float, t_end: float, step: float,
         raise ValueError(
             f"integration step too coarse: need 0 < step <= {coarsest:.6g} s "
             f"({MIN_STEPS_PER_PERIOD} steps per oscillation period)")
+    check_grid_size(t_end / step + 1.0, f"RK4 trajectory with step {step:g} s")
     n_steps = max(1, math.ceil(t_end / step - 1e-9))
     times = t_end * np.arange(n_steps + 1) / n_steps
     mids = 0.5 * (times[:-1] + times[1:])
@@ -139,7 +149,7 @@ class ResidualReport:
     v_end: float       # relative velocity at t1 [m/s]
     amplitude: float   # free-oscillation phasor sqrt(x_end**2 + (v_end/k)**2) [m]
     quiescent: bool
-    action: float      # action value of the executed motion law [J*s]
+    action: float      # action of the executed motion law, closed form [J*s]
     tolerance: float   # quiescence threshold on the amplitude [m]
 
     def as_dict(self) -> dict:
@@ -159,6 +169,8 @@ def residual_report(spec: MotionSpec, trace: OscillatorTrace | None = None,
     With a trace, the endpoint state comes from the integrator; otherwise from
     the closed form.  A report is quiescent only when the spec guarantees it
     (integer period multiple) and the residual amplitude is inside tolerance.
+    The action is the closed form m*L**2*p*(pi/3 + 1/(4*pi)) of
+    :func:`action_value` over the executed motion law.
     """
     if tolerance is None:
         tolerance = QUIESCENCE_TOL_FACTOR * spec.L
@@ -173,7 +185,8 @@ def residual_report(spec: MotionSpec, trace: OscillatorTrace | None = None,
     return ResidualReport(
         spec=spec, x_end=x_end, v_end=v_end, amplitude=amplitude,
         quiescent=spec.guarantees_quiescence and amplitude <= tolerance,
-        action=action_value(spec), tolerance=tolerance)
+        action=spec.m * spec.L**2 * spec.p * (math.pi / 3.0 + 1.0 / (4.0 * math.pi)),
+        tolerance=tolerance)
 
 
 def tip_trace(spec: MotionSpec, rate: float, kind: str = "acceleration") -> TimeSeries:
@@ -197,7 +210,9 @@ def action_value(spec: MotionSpec, position_fn=None, velocity_fn=None,
 
     The integrand is m*v**2/2 - m*p**2*s**2/2 + (m*L*p**3/(2*pi)) * t * s,
     with the effective stiffness recovered as m*k**2 so the softened term
-    becomes m*p**2.  Defaults to the executed motion law; pass array-aware
+    becomes m*p**2.  Defaults to the executed motion law, whose action has
+    the closed form m*L**2*p*(pi/3 + 1/(4*pi)) that :func:`residual_report`
+    uses; this composite-Simpson route is its oracle.  Pass array-aware
     callables to evaluate perturbed trajectories.
     """
     s_fn = position_fn if position_fn is not None else spec.position

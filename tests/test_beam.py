@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BENCH_BEAM
-from flexmove import (BeamSpec, MotionSpec, area_moment, load_beam,
-                      natural_frequency, tip_stiffness)
+from flexmove import BeamSpec, MotionSpec, load_beam
 
 # Frozen chain values for the bench strip (l=0.305, b=0.013, h=5e-4, E=2.1e11).
 BENCH_I = 1.3541666666666668e-13
@@ -16,57 +15,55 @@ BENCH_C = 3.0068596049889647
 BENCH_K = 5.780099581023156
 
 
-def test_area_moment_bench():
-    assert area_moment(0.013, 0.5e-3) == pytest.approx(BENCH_I, rel=1e-12)
-    assert area_moment(0.013, 0.5e-3) == pytest.approx(1.3542e-13, rel=1e-4)
+def beam(**fields) -> BeamSpec:
+    """The bench strip with some fields replaced."""
+    return BeamSpec(**dict(BENCH_BEAM, **fields))
+
+
+def test_area_moment_bench(bench_beam):
+    assert bench_beam.second_moment == pytest.approx(BENCH_I, rel=1e-12)
+    assert bench_beam.second_moment == pytest.approx(1.3542e-13, rel=1e-4)
 
 
 def test_area_moment_unit_section():
-    assert area_moment(1.0, 1.0) == pytest.approx(1.0 / 12.0, rel=1e-15)
+    assert beam(b=1.0, h=1.0).second_moment == pytest.approx(1.0 / 12.0, rel=1e-15)
 
 
 def test_area_moment_cubic_in_thickness():
-    assert area_moment(0.01, 2e-3) == pytest.approx(8.0 * area_moment(0.01, 1e-3), rel=1e-12)
+    assert beam(b=0.01, h=2e-3).second_moment == pytest.approx(
+        8.0 * beam(b=0.01, h=1e-3).second_moment, rel=1e-12)
 
 
-def test_tip_stiffness_bench():
-    assert tip_stiffness(2.1e11, BENCH_I, 0.305) == pytest.approx(BENCH_C, rel=1e-12)
-    assert tip_stiffness(2.1e11, BENCH_I, 0.305) == pytest.approx(3.007, rel=1e-3)
+def test_tip_stiffness_bench(bench_beam):
+    assert bench_beam.stiffness == pytest.approx(BENCH_C, rel=1e-12)
+    assert bench_beam.stiffness == pytest.approx(3.007, rel=1e-3)
 
 
 def test_tip_stiffness_unit():
-    assert tip_stiffness(1.0, 1.0, 1.0) == 3.0
+    # b = 12, h = 1 gives I = 1 exactly
+    assert BeamSpec(l=1.0, b=12.0, h=1.0, E=1.0, m_tip=1.0).stiffness == 3.0
 
 
 def test_tip_stiffness_cubic_in_length():
-    assert tip_stiffness(1e9, 1e-12, 0.4) == pytest.approx(tip_stiffness(1e9, 1e-12, 0.2) / 8.0, rel=1e-12)
+    assert beam(l=0.4).stiffness == pytest.approx(beam(l=0.2).stiffness / 8.0, rel=1e-12)
 
 
-def test_natural_frequency_bench():
-    assert natural_frequency(BENCH_C, 0.09) == pytest.approx(BENCH_K, rel=1e-12)
-    assert natural_frequency(BENCH_C, 0.09) == pytest.approx(5.78, rel=5e-3)
-    assert natural_frequency(BENCH_C, 0.06) == pytest.approx(7.079147317990782, rel=1e-12)
-    assert natural_frequency(1.0, 1.0) == 1.0
+def test_natural_frequency_bench(bench_beam):
+    assert bench_beam.frequency == pytest.approx(BENCH_K, rel=1e-12)
+    assert bench_beam.frequency == pytest.approx(5.78, rel=5e-3)
+    assert beam(m_tip=0.06).frequency == pytest.approx(7.079147317990782, rel=1e-12)
+    # b = 4, h = 1 gives I = 1/3 and a unit stiffness
+    assert BeamSpec(l=1.0, b=4.0, h=1.0, E=1.0, m_tip=1.0).frequency == 1.0
 
 
-def test_quadruple_mass_halves_frequency_exactly():
-    assert natural_frequency(BENCH_C, 4 * 0.09) == natural_frequency(BENCH_C, 0.09) / 2.0
+def test_quadruple_mass_halves_frequency_exactly(bench_beam):
+    assert beam(m_tip=4 * 0.09).frequency == bench_beam.frequency / 2.0
 
 
 @settings(max_examples=50, deadline=None)
-@given(c=st.floats(1e-3, 1e6), m=st.floats(1e-3, 1e3))
-def test_frequency_scaling_property(c, m):
-    assert natural_frequency(c, 4.0 * m) == natural_frequency(c, m) / 2.0
-
-
-@pytest.mark.parametrize("fn,args", [
-    (area_moment, (0.0, 1.0)), (area_moment, (1.0, -1.0)),
-    (tip_stiffness, (0.0, 1.0, 1.0)), (tip_stiffness, (1.0, 1.0, 0.0)),
-    (natural_frequency, (0.0, 1.0)), (natural_frequency, (1.0, 0.0)),
-])
-def test_non_positive_inputs_rejected(fn, args):
-    with pytest.raises(ValueError):
-        fn(*args)
+@given(E=st.floats(1e3, 1e12), m=st.floats(1e-3, 1e3))
+def test_frequency_scaling_property(E, m):
+    assert beam(E=E, m_tip=4.0 * m).frequency == beam(E=E, m_tip=m).frequency / 2.0
 
 
 class TestBeamSpec:

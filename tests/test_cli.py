@@ -148,6 +148,24 @@ class TestSweep:
         assert f"{flag[2:].replace('-', '_')} must be finite" in stderr
 
 
+MOVE = ("--L", "0.41", "--k", "5.78", "--n", "2", "--mass", "0.09")
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--L", "0.41", "--k", "5.78", "--mass", "0.09", "--n-from", "2",
+     "--n-to", "1e300", "--step", "1e-10", "--out", "x.csv"),
+    ("plan", *MOVE, "--rate", "1e12", "--out", "x.csv"),
+    ("simulate", *MOVE, "--step", "1e-15", "--trace-out", "x.csv"),
+], ids=["sweep", "plan", "simulate"])
+def test_oversized_grids_rejected_before_allocation(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, _, stderr = run(capsys, *argv)
+    assert code == 2
+    assert stderr.startswith("error:") and stderr.count("\n") == 1
+    assert "more than the limit of 10000000" in stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
 class TestFilter:
     def make_trace(self, tmp_path, values, rate=1500.0):
         path = tmp_path / "input.csv"

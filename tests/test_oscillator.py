@@ -1,10 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flexmove import oscillator
 from flexmove import (MotionSpec, action_value, euler_lagrange_residual,
                       final_relative_state, integrate, relative_motion,
                       residual_report, simulate_relative, tip_trace,
@@ -117,8 +119,9 @@ class TestIntegrator:
         from flexmove import load_setpoints
         path = tmp_path / "setpoints.csv"
         bench_spec.sample_uniform(2000.0).write_csv(path)
-        forcing = load_setpoints(path).acceleration_interpolant()
-        trace = integrate(forcing, bench_spec.k, bench_spec.t1, bench_spec.t1 / 20_000)
+        table = load_setpoints(path)
+        trace = integrate(lambda t: np.interp(t, table.t, table.a), bench_spec.k,
+                          bench_spec.t1, bench_spec.t1 / 20_000)
         x_closed = relative_motion(bench_spec, trace.t)[0]
         # linear interpolation of the control limits the agreement, not RK4
         assert np.max(np.abs(trace.x - x_closed)) <= 1e-6
@@ -154,6 +157,20 @@ class TestResidualReport:
         report = residual_report(spec)
         assert report.amplitude == 0.0
         assert not report.quiescent
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-6, 1e-3])
+    def test_near_resonance_endpoint_matches_mpmath(self, eps):
+        # k**2 - p**2 cancels as n -> 1+; the gain is formed from n - 1 instead
+        spec = MotionSpec(L=0.41, k=5.78, n=1.0 + eps, m=0.09, exploratory=True)
+        with mpmath.workdps(50):
+            n, L, k = mpmath.mpf(spec.n), mpmath.mpf(spec.L), mpmath.mpf(spec.k)
+            p = k / n
+            gain = L * p**2 / (2 * mpmath.pi * (k**2 - p**2))
+            x_ref = gain * (p / k) * mpmath.sin(2 * mpmath.pi * n)
+            v_ref = gain * p * (mpmath.cos(2 * mpmath.pi * n) - 1)
+            amplitude_ref = float(mpmath.hypot(x_ref, v_ref / k))
+        assert final_relative_state(spec)[0] == pytest.approx(float(x_ref), rel=1e-14)
+        assert residual_report(spec).amplitude == pytest.approx(amplitude_ref, rel=1e-14)
 
     def test_amplitude_dominates_displacement(self, bench_spec):
         report = residual_report(bench_spec, simulate_relative(bench_spec))
@@ -213,6 +230,26 @@ class TestAction:
         assert value == pytest.approx(BENCH_ACTION, rel=1e-9)
         analytic = bench_spec.m * bench_spec.L**2 * bench_spec.p * (1 / (4 * math.pi) + math.pi / 3)
         assert value == pytest.approx(analytic, rel=1e-10)
+
+    @settings(max_examples=25, deadline=None)
+    @given(L=st.floats(1e-3, 1e3), k=st.floats(1e-2, 1e3), n=st.floats(1.01, 50.0),
+           m=st.floats(1e-3, 1e3), strict=st.booleans())
+    def test_report_action_matches_the_quadrature_oracle(self, L, k, n, m, strict):
+        if strict:
+            spec = MotionSpec(L=L, k=k, n=float(max(2, round(n))), m=m)
+        else:
+            spec = MotionSpec(L=L, k=k, n=n, m=m, exploratory=True)
+        assert residual_report(spec).action == pytest.approx(action_value(spec), rel=1e-12)
+
+    def test_report_runs_no_quadrature(self, bench_spec, monkeypatch):
+        trace = simulate_relative(bench_spec)
+
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("residual_report ran a quadrature")
+
+        monkeypatch.setattr(oscillator, "simpson_grid", no_quadrature)
+        assert residual_report(bench_spec).action == BENCH_ACTION
+        assert residual_report(bench_spec, trace).action == BENCH_ACTION
 
     @pytest.mark.parametrize("shape", ["half_sine", "parabola"])
     def test_stationarity_ratio(self, bench_spec, shape):

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flexmove import TimeSeries, load_trace, save_trace
-from flexmove.timeseries import read_numeric_csv, write_csv
+from flexmove.timeseries import fmt, read_numeric_csv, write_csv
 
 
 class TestTimeSeries:
@@ -37,6 +41,17 @@ class TestCsvRoundTrip:
         save_trace(first, series)
         save_trace(second, load_trace(first))
         assert first.read_bytes() == second.read_bytes()
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_cell_round_trip_error_and_byte_stability(self, x):
+        # write_csv formats each cell with fmt and read_numeric_csv parses it with
+        # float: 12 significant digits move a value by at most 5e-12 relative,
+        # and parsing the cell back by at most one ulp more
+        cell = fmt(x)
+        reloaded = float(cell)
+        assert abs(reloaded - x) <= 5e-12 * abs(x) + math.ulp(x)
+        assert fmt(reloaded) == cell
 
     def test_jittered_timestamps_rejected(self, tmp_path):
         path = tmp_path / "trace.csv"
