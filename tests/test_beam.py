@@ -66,6 +66,29 @@ def test_frequency_scaling_property(E, m):
     assert beam(E=E, m_tip=4.0 * m).frequency == beam(E=E, m_tip=m).frequency / 2.0
 
 
+# Each link of the beam chain, reached through the BeamSpec fields it reads.
+def area_moment(b, h):
+    return beam(b=b, h=h).second_moment
+
+
+def tip_stiffness(E, l):
+    return beam(E=E, l=l).stiffness
+
+
+def natural_frequency(E, m_tip):
+    return beam(E=E, m_tip=m_tip).frequency
+
+
+@pytest.mark.parametrize("fn,args", [
+    (area_moment, (0.0, 5e-4)), (area_moment, (0.013, -5e-4)),
+    (tip_stiffness, (0.0, 0.305)), (tip_stiffness, (2.1e11, 0.0)),
+    (natural_frequency, (0.0, 0.09)), (natural_frequency, (2.1e11, 0.0)),
+])
+def test_non_positive_inputs_rejected(fn, args):
+    with pytest.raises(ValueError, match="must be a positive finite number"):
+        fn(*args)
+
+
 class TestBeamSpec:
     def test_bench_chain(self, bench_beam):
         assert bench_beam.second_moment == pytest.approx(BENCH_I, rel=1e-12)
