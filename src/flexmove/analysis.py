@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beam import BeamSpec
+from .beam import BeamSpec, positive_finite
 from .motion import (DEFAULT_QUAD_INTERVALS, MotionSpec, check_grid_size, simpson,
                      simpson_grid)
 from .oscillator import ResidualReport, final_relative_state
@@ -20,10 +20,11 @@ INTEGER_N_TOL = 1e-9
 
 def _spec_for(L: float, k: float, m: float, n: float) -> MotionSpec:
     """Strict spec at integer multiples, exploratory spec elsewhere."""
-    rounded = round(n)
-    if abs(n - rounded) <= INTEGER_N_TOL * max(1.0, abs(n)) and rounded >= 2:
+    spec = MotionSpec(L=L, k=k, n=n, m=m, exploratory=True)
+    rounded = round(spec.n)
+    if abs(spec.n - rounded) <= INTEGER_N_TOL * spec.n and rounded >= 2:
         return MotionSpec(L=L, k=k, n=float(rounded), m=m)
-    return MotionSpec(L=L, k=k, n=float(n), m=m, exploratory=True)
+    return spec
 
 
 def residual_amplitude(L: float, k: float, n: float) -> float:
@@ -74,11 +75,10 @@ def sweep_n(L: float, k: float, m: float, n_from: float, n_to: float,
             raise ValueError(f"sweep {name} must be finite, got {value!r}")
     if n_from <= 1.0:
         raise ValueError("sweep range must stay above n = 1 (resonant multiple)")
-    if step <= 0.0:
-        raise ValueError("sweep step must be positive")
     if n_to < n_from:
         raise ValueError("need n_to >= n_from")
-    check_grid_size((n_to - n_from) / step + 1.0, f"sweep grid with step {step:g}")
+    check_grid_size((n_to - n_from) / positive_finite("sweep step", step) + 1.0,
+                    f"sweep grid with step {step:g}")
     count = int(math.floor((n_to - n_from) / step + 1e-9)) + 1
     rows = []
     for i in range(count):
@@ -163,11 +163,9 @@ def amplitude_table(masses, beam: BeamSpec, L: float, n: float = 2.0,
     matched column uses the integer multiple n, the mistimed column the
     non-integer unmatched_n with the same control shape.
     """
-    masses = tuple(float(m) for m in masses)
+    masses = tuple(positive_finite("carried mass", m) for m in masses)
     if not masses:
         raise ValueError("at least one carried mass is required")
-    if any(m <= 0.0 for m in masses):
-        raise ValueError("carried masses must be positive")
     freqs, matched_amps, unmatched_amps = [], [], []
     for m in masses:
         k = BeamSpec(l=beam.l, b=beam.b, h=beam.h, E=beam.E, m_tip=m).frequency

@@ -10,13 +10,14 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 
 def positive_finite(name: str, value) -> float:
-    """Return value as a float if it is a finite positive real number (bools excluded)."""
+    """Return value as a float if it is a real number in (0, largest float], bools excluded."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (math.isfinite(value) and value > 0.0)):
+            or not 0.0 < value <= sys.float_info.max):
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
     return float(value)
 
@@ -36,6 +37,10 @@ class BeamSpec:
             object.__setattr__(self, name, positive_finite(name, getattr(self, name)))
         if self.h > self.b:
             raise ValueError("thickness h must not exceed width b for a thin strip")
+        try:
+            self.frequency
+        except ArithmeticError:  # l**3 or h**3 overflows, or l**3 underflows to zero
+            raise ValueError("beam dimensions put the stiffness outside the float range") from None
 
     @property
     def second_moment(self) -> float:
@@ -53,21 +58,29 @@ class BeamSpec:
         return math.sqrt(self.stiffness / self.m_tip)
 
 
-def load_beam(path, tip_mass: float | None = None) -> BeamSpec:
-    """Read a beam description from a JSON document with keys l, b, h, E, m_tip.
-
-    ``tip_mass`` overrides the document's m_tip and must be given when the
-    document omits that key.
-    """
+def read_json_object(path, what: str) -> dict:
+    """Parse a JSON document that must be an object; malformed JSON raises ValueError."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:  # the decoder recurses once per nested array or object
+            raise ValueError(f"{path}: {what} is nested too deeply") from None
     if not isinstance(doc, dict):
-        raise ValueError(f"{path}: beam document must be a JSON object")
+        raise ValueError(f"{path}: {what} must be a JSON object")
+    return doc
+
+
+def load_beam(path, tip_mass: float | None = None) -> BeamSpec:
+    """Read a beam description from a JSON object whose keys l, b, h, E, m_tip hold numbers.
+
+    BeamSpec rejects a string or a bool; ``tip_mass`` overrides the document's
+    m_tip and must be given when the document omits that key.
+    """
+    doc = read_json_object(path, "beam document")
     missing = [key for key in ("l", "b", "h", "E") if key not in doc]
     if missing:
         raise ValueError(f"{path}: beam document is missing keys: {', '.join(missing)}")
     m_tip = tip_mass if tip_mass is not None else doc.get("m_tip")
     if m_tip is None:
         raise ValueError(f"{path}: beam document has no m_tip and no tip mass was given")
-    return BeamSpec(l=float(doc["l"]), b=float(doc["b"]), h=float(doc["h"]),
-                    E=float(doc["E"]), m_tip=float(m_tip))
+    return BeamSpec(l=doc["l"], b=doc["b"], h=doc["h"], E=doc["E"], m_tip=m_tip)

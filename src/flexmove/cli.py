@@ -14,7 +14,7 @@ import json
 import sys
 
 from .analysis import amplitude_table, sweep_n
-from .beam import load_beam
+from .beam import load_beam, read_json_object
 from .filters import design_butterworth, filtfilt
 from .motion import MotionSpec
 from .oscillator import residual_report, simulate_relative, write_relative_trace
@@ -30,14 +30,6 @@ class _Parser(argparse.ArgumentParser):
 
 _CONFIG = _Parser(add_help=False)
 _CONFIG.add_argument("--config", help="JSON config document; flags override it")
-
-
-def _load_config(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    return doc
 
 
 def _config_flags(doc: dict) -> list[str]:
@@ -64,7 +56,7 @@ def _with_config(argv: list[str]) -> list[str]:
     path = _CONFIG.parse_known_args(argv)[0].config
     if path is None:
         return argv
-    return argv[:1] + _config_flags(_load_config(path)) + argv[1:]
+    return argv[:1] + _config_flags(read_json_object(path, "config")) + argv[1:]
 
 
 def _payload(args) -> tuple[float, float]:
@@ -221,12 +213,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(_with_config(argv))
         return args.handler(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (ValueError, OSError) as exc:  # a message may quote input with line breaks
+        print("error:", " ".join(str(exc).splitlines()), file=sys.stderr)
+        return 2 if isinstance(exc, ValueError) else 1
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .beam import positive_finite
 from .timeseries import TimeSeries
 
 ALLOWED_ORDERS = (2, 4, 6, 8)
@@ -40,9 +41,7 @@ class Biquad:
 def _check_parameters(order: int, cutoff_hz: float, rate_hz: float) -> None:
     if order not in ALLOWED_ORDERS:
         raise ValueError(f"filter order must be one of {ALLOWED_ORDERS}, got {order}")
-    if rate_hz <= 0.0:
-        raise ValueError("sample rate must be positive")
-    if not 0.0 < cutoff_hz < 0.5 * rate_hz:
+    if not 0.0 < cutoff_hz < 0.5 * positive_finite("sample rate", rate_hz):
         raise ValueError(
             f"cutoff must lie strictly between 0 and the Nyquist frequency "
             f"{0.5 * rate_hz:g} Hz, got {cutoff_hz:g} Hz")

@@ -42,9 +42,7 @@ def simpson_grid(t_end: float, step: float) -> np.ndarray:
     A step of t_end/N counts N intervals even when the division rounds up;
     an odd count is raised by one.
     """
-    if step <= 0.0:
-        raise ValueError("quadrature step must be positive")
-    n = max(2, math.ceil(t_end / step - 1e-9))
+    n = max(2, math.ceil(t_end / positive_finite("quadrature step", step) - 1e-9))
     if n % 2:
         n += 1
     return np.linspace(0.0, t_end, n + 1)
@@ -69,14 +67,14 @@ def timing_residual(n: float) -> tuple[float, float]:
     """Residual pair (cos(2*pi*n) - 1, sin(2*pi*n)) of the quiescence timing equations.
 
     Both terms vanish exactly when the period multiple n is an integer.  The
-    angle is reduced through the fractional part of n before evaluation, so
-    integer n yields machine zeros instead of rounding noise from cos/sin of
-    large arguments.
+    angle is reduced by the nearest integer, so integer n yields machine zeros,
+    and the first term is -2*sin(theta/2)**2, which keeps the digits that
+    cos(theta) - 1 cancels as n nears an integer (or 1).
     """
     if n <= 1.0:
         raise ValueError("period multiple n must exceed 1")
-    theta = TWO_PI * (n - math.floor(n))
-    return math.cos(theta) - 1.0, math.sin(theta)
+    theta = TWO_PI * (n - round(n))
+    return -2.0 * math.sin(0.5 * theta) ** 2, math.sin(theta)
 
 
 def _like(t, values) -> float | np.ndarray:
@@ -207,8 +205,7 @@ class MotionSpec:
 
     def sample_uniform(self, rate: float) -> SetpointTable:
         """Sample the motion law on the grid i/rate, i = 0 .. floor(rate*t1)."""
-        if not 0.0 < rate < math.inf:
-            raise ValueError(f"sample rate must be positive and finite, got {rate!r}")
+        rate = positive_finite("sample rate", rate)
         check_grid_size(rate * self.t1 + 1.0, f"setpoint grid at {rate:g} Hz")
         count = math.floor(rate * self.t1) + 1
         t = np.arange(count) / rate

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .beam import positive_finite
 from .motion import (DEFAULT_QUAD_INTERVALS, TWO_PI, MotionSpec, _like, check_grid_size,
                      simpson, simpson_grid, timing_residual)
 from .timeseries import TimeSeries, write_csv
@@ -97,10 +98,9 @@ def integrate(forcing, k: float, t_end: float, step: float,
     lands exactly on t_end.  Steps coarser than a fiftieth of the oscillation
     period are rejected.
     """
-    if k <= 0.0 or t_end <= 0.0:
-        raise ValueError("k and t_end must be positive")
+    k, t_end, step = map(positive_finite, ("k", "t_end", "integration step"), (k, t_end, step))
     coarsest = TWO_PI / k / MIN_STEPS_PER_PERIOD
-    if step <= 0.0 or step > coarsest:
+    if step > coarsest:
         raise ValueError(
             f"integration step too coarse: need 0 < step <= {coarsest:.6g} s "
             f"({MIN_STEPS_PER_PERIOD} steps per oscillation period)")
@@ -162,18 +162,16 @@ class ResidualReport:
         }
 
 
-def residual_report(spec: MotionSpec, trace: OscillatorTrace | None = None,
-                    tolerance: float | None = None) -> ResidualReport:
+def residual_report(spec: MotionSpec, trace: OscillatorTrace | None = None) -> ResidualReport:
     """Quiescence metrics at the end of the move.
 
     With a trace, the endpoint state comes from the integrator; otherwise from
     the closed form.  A report is quiescent only when the spec guarantees it
-    (integer period multiple) and the residual amplitude is inside tolerance.
+    (integer period multiple) and the residual amplitude is within QUIESCENCE_TOL_FACTOR * L.
     The action is the closed form m*L**2*p*(pi/3 + 1/(4*pi)) of
     :func:`action_value` over the executed motion law.
     """
-    if tolerance is None:
-        tolerance = QUIESCENCE_TOL_FACTOR * spec.L
+    tolerance = QUIESCENCE_TOL_FACTOR * spec.L
     if trace is None:
         x_end, v_end = final_relative_state(spec)
     else:

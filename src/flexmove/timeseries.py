@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .beam import positive_finite
 
 #: significant digits written to CSV.  Not a lossless float round trip: a
 #: reloaded value differs from the written float by up to 5e-12 relative.
@@ -45,8 +46,7 @@ class TimeSeries:
     stamps: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.rate) or self.rate <= 0.0:
-            raise ValueError(f"sample rate must be positive and finite, got {self.rate!r}")
+        object.__setattr__(self, "rate", positive_finite("sample rate", self.rate))
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or len(values) < 2:
             raise ValueError("a time series needs at least two samples")
@@ -65,42 +65,48 @@ class TimeSeries:
 
 
 def write_csv(path, header, columns) -> None:
-    """Write equal-length numeric columns under a comma-separated header."""
-    columns = [np.asarray(col, dtype=float) for col in columns]
-    length = len(columns[0])
-    if any(len(col) != length for col in columns):
-        raise ValueError("columns differ in length")
+    """Write equal-length numeric columns under a comma-separated header.
+
+    Given a path instead of this UTF-8 handle, numpy would encode the header
+    (which may be a label read from an input) as latin-1.
+    """
+    table = np.column_stack(columns)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(length):
-            fh.write(",".join(fmt(col[i]) for col in columns) + "\n")
+        np.savetxt(fh, table, fmt=f"%.{CSV_DIGITS}g", delimiter=",",
+                   header=",".join(header), comments="")
 
 
 def read_numeric_csv(path, n_columns: int | None = None):
-    """Read a headered CSV of floats; returns (header, list of column arrays).
+    """Read a headered CSV of floats in one pass; returns (header, list of column arrays).
 
-    Raises ValueError with a distinct message for an empty file, a ragged or
-    wrongly sized row, and any cell that does not parse as a number.
+    Raises ValueError with a distinct message for an empty file, a ragged or wrongly sized
+    row, a cell that does not parse as a number, and a line the csv module cannot split.
     """
     with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    header = [name.strip() for name in rows[0]]
-    if n_columns is not None and len(header) != n_columns:
-        raise ValueError(
-            f"{path}: expected {n_columns} columns, found {len(header)} ({','.join(header)})")
-    data = [[] for _ in header]
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ValueError(f"{path}: line {lineno} has {len(row)} cells, expected {len(header)}")
-        for col, cell in zip(data, row):
-            try:
-                col.append(float(cell))
-            except ValueError:
-                raise ValueError(f"{path}: non-numeric cell {cell.strip()!r} on line {lineno}") from None
+        reader = csv.reader(fh)
+        try:
+            first = next(reader, None)
+            if first is None:
+                raise ValueError(f"{path}: empty file")
+            header = [name.strip() for name in first]
+            if n_columns is not None and len(header) != n_columns:
+                raise ValueError(f"{path}: expected {n_columns} columns, found "
+                                 f"{len(header)} ({','.join(header)})")
+            data = [[] for _ in header]
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ValueError(
+                        f"{path}: line {lineno} has {len(row)} cells, expected {len(header)}")
+                for col, cell in zip(data, row):
+                    try:
+                        col.append(float(cell))
+                    except ValueError:
+                        raise ValueError(f"{path}: non-numeric cell {cell.strip()!r} "
+                                         f"on line {lineno}") from None
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return header, [np.asarray(col) for col in data]
 
 
@@ -130,6 +136,6 @@ def load_trace(path) -> TimeSeries:
     return TimeSeries(rate=rate, t0=float(t[0]), values=values, label=header[1], stamps=t)
 
 
-def save_trace(path, series: TimeSeries, label: str | None = None) -> None:
-    """Write a TimeSeries as a two-column `t,<value>` CSV."""
-    write_csv(path, ("t", label or series.label), (series.times, series.values))
+def save_trace(path, series: TimeSeries) -> None:
+    """Write a TimeSeries as a two-column `t,<value>` CSV headed by its label."""
+    write_csv(path, ("t", series.label), (series.times, series.values))

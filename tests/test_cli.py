@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import BENCH_BEAM
 from flexmove.cli import main
@@ -303,3 +307,108 @@ class TestConfigFile:
         code, stdout, _ = run(capsys, "simulate", "--config", str(config))
         assert code == 0
         assert json.loads(stdout)["quiescent"] is False
+
+
+def one_error_line(code, stderr):
+    return code == 2 and stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
+class TestMalformedInput:
+    """Malformed JSON documents and trace files exit 2 with one line, never a traceback."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("l", None), ("l", [0.305]), ("b", True), ("E", "2.1e11"), ("m_tip", {}),
+        ("l", 1e-200), ("l", 1e200), ("E", 10**400),
+    ], ids=["null", "list", "true", "string", "object", "l**3-underflow", "l**3-overflow",
+            "huge-integer"])
+    def test_beam_field_must_be_an_admissible_number(self, tmp_path, capsys, field, value):
+        beam = tmp_path / "beam.json"
+        beam.write_text(json.dumps(dict(BENCH_BEAM, **{field: value})))
+        out = tmp_path / "plan.csv"
+        code, _, stderr = run(capsys, "plan", "--L", "0.41", "--beam", str(beam), "--n", "2",
+                              "--out", str(out))
+        assert one_error_line(code, stderr), stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", [("--beam",), ("--k", "5.78", "--config")])
+    def test_deeply_nested_json(self, tmp_path, capsys, source):
+        doc = tmp_path / "deep.json"
+        doc.write_text("[" * 100_000 + "]" * 100_000)
+        code, _, stderr = run(capsys, "plan", "--L", "0.41", "--n", "2", "--mass", "0.09",
+                              *source, str(doc), "--out", str(tmp_path / "x.csv"))
+        assert one_error_line(code, stderr), stderr
+        assert "nested too deeply" in stderr
+
+    @pytest.mark.parametrize("flag", ["--n", "--unmatched-n"])
+    def test_report_multiple_must_be_finite(self, capsys, beam_json, flag):
+        code, _, stderr = run(capsys, "report", "--beam", beam_json, "--masses", "0.09",
+                              "--L", "0.41", flag, "inf")
+        assert one_error_line(code, stderr), stderr
+        assert "n must be a positive finite number, got inf" in stderr
+
+    def test_oversized_csv_field(self, tmp_path, capsys):
+        inp = tmp_path / "trace.csv"
+        inp.write_text("t,a_tip\n0,0\n" + "1" * 140_000 + ",1\n")
+        code, _, stderr = run(capsys, "filter", "--in", str(inp), "--out", str(tmp_path / "x.csv"))
+        assert one_error_line(code, stderr), stderr
+        assert f"{inp}: line 3: field larger than field limit" in stderr
+
+    def test_line_break_in_a_quoted_header(self, tmp_path, capsys):
+        inp = tmp_path / "trace.csv"
+        inp.write_text('t,"a\nb",c\n0,0,0\n')
+        code, _, stderr = run(capsys, "filter", "--in", str(inp), "--out", str(tmp_path / "x.csv"))
+        assert one_error_line(code, stderr), stderr
+        assert "expected 2 columns, found 3" in stderr
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=4)
+
+CSV_JUNK = st.one_of(st.text(max_size=20), st.sampled_from(
+    ['"', '""', ",,", "\x00", '"a\nb"', "\r", "1,2,3", "nan,nan", "1e308,1", "x" * 140_000]))
+
+
+def run_quietly(argv):
+    """Run main(argv) and check the exit contract: 0, 1 or 2, and one line on failure.
+
+    Output is captured here because capsys is not reset between hypothesis examples.
+    """
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert stderr.getvalue().startswith("error: "), stderr.getvalue()
+        assert stderr.getvalue().count("\n") == 1, stderr.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(sorted(BENCH_BEAM)), value=JSON_VALUES,
+       command=st.sampled_from(["plan", "report"]))
+def test_any_json_value_in_a_beam_field(tmp_path_factory, field, value, command):
+    workdir = tmp_path_factory.mktemp("beam")
+    beam = workdir / "beam.json"
+    beam.write_text(json.dumps(dict(BENCH_BEAM, **{field: value})))
+    if command == "plan":
+        run_quietly(["plan", "--L", "0.41", "--beam", str(beam), "--n", "2", "--rate", "50",
+                     "--out", str(workdir / "plan.csv")])
+    else:
+        run_quietly(["report", "--beam", str(beam), "--masses", "0.02,0.09", "--L", "0.41"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(junk=st.lists(CSV_JUNK, min_size=1, max_size=4), at=st.integers(0, 120),
+       header=st.booleans())
+def test_any_text_in_a_trace_csv(tmp_path_factory, junk, at, header):
+    t = np.arange(120) / 1500.0
+    lines = [f"{a!r},{b!r}" for a, b in zip(t.tolist(), np.sin(t).tolist())]
+    lines[at:at] = junk
+    if header:
+        lines.insert(0, "t,a_tip")
+    workdir = tmp_path_factory.mktemp("trace")
+    inp = workdir / "trace.csv"
+    inp.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+    run_quietly(["filter", "--in", str(inp), "--out", str(workdir / "filtered.csv")])

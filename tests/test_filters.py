@@ -53,6 +53,11 @@ class TestDesign:
         with pytest.raises(ValueError, match="Nyquist"):
             design_butterworth(4, cutoff, RATE)
 
+    @pytest.mark.parametrize("rate", [math.inf, math.nan])
+    def test_non_finite_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="^sample rate must be a positive finite number"):
+            design_butterworth(4, 20.0, rate)
+
     def test_matches_scipy_butterworth(self, bench_design):
         sos = scipy.signal.butter(4, 20.0, fs=RATE, output="sos")
         freqs = np.linspace(0.1, 740.0, 200)

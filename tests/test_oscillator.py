@@ -95,6 +95,11 @@ class TestIntegrator:
         with pytest.raises(ValueError, match="too coarse"):
             integrate(lambda t: 0.0, 5.78, 10.0, 1.0)
 
+    def test_non_finite_frequency_rejected(self):
+        # a NaN k used to pass every comparison and return an all-NaN trace
+        with pytest.raises(ValueError, match="^k must be a positive finite number"):
+            integrate(lambda t: 0.0, math.nan, 10.0, 0.01)
+
     @settings(max_examples=12, deadline=None)
     @given(params=spec_params)
     def test_matches_closed_form_uniformly(self, params):
@@ -171,6 +176,17 @@ class TestResidualReport:
             amplitude_ref = float(mpmath.hypot(x_ref, v_ref / k))
         assert final_relative_state(spec)[0] == pytest.approx(float(x_ref), rel=1e-14)
         assert residual_report(spec).amplitude == pytest.approx(amplitude_ref, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [1.0 + 1e-9, 1.0 + 1e-6, 2.0 + 1e-9, 3.0 - 1e-7])
+    def test_end_velocity_near_an_integer_matches_mpmath(self, n):
+        # cos(theta) - 1 cancels as n nears an integer or 1; v_end keeps its digits
+        spec = MotionSpec(L=0.41, k=5.78, n=n, m=0.09, exploratory=True)
+        with mpmath.workdps(50):
+            n, L, k = mpmath.mpf(spec.n), mpmath.mpf(spec.L), mpmath.mpf(spec.k)
+            p = k / n
+            gain = L * p**2 / (2 * mpmath.pi * (k**2 - p**2))
+            v_ref = float(gain * p * (mpmath.cos(2 * mpmath.pi * n) - 1))
+        assert final_relative_state(spec)[1] == pytest.approx(v_ref, rel=1e-15, abs=0.0)
 
     def test_amplitude_dominates_displacement(self, bench_spec):
         report = residual_report(bench_spec, simulate_relative(bench_spec))

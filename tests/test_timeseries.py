@@ -53,6 +53,20 @@ class TestCsvRoundTrip:
         assert abs(reloaded - x) <= 5e-12 * abs(x) + math.ulp(x)
         assert fmt(reloaded) == cell
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda width: st.lists(
+        st.lists(st.floats(), min_size=width, max_size=width), max_size=20)))
+    def test_write_csv_matches_per_cell_formatting(self, tmp_path_factory, rows):
+        # the reference is the per-cell loop write_csv replaced: fmt of every
+        # cell, comma-joined, one line per row (signed zeros, NaN and inf included);
+        # the header is written as UTF-8
+        width = len(rows[0]) if rows else 3
+        header = [f"\u03b2{i}" for i in range(width)]
+        path = tmp_path_factory.mktemp("csv") / "table.csv"
+        write_csv(path, header, [[row[i] for row in rows] for i in range(width)])
+        expected = ",".join(header) + "\n" + "".join(",".join(map(fmt, row)) + "\n" for row in rows)
+        assert path.read_bytes() == expected.encode()
+
     def test_jittered_timestamps_rejected(self, tmp_path):
         path = tmp_path / "trace.csv"
         t = np.arange(50) / 100.0
