@@ -32,21 +32,31 @@ _CONFIG = _Parser(add_help=False)
 _CONFIG.add_argument("--config", help="JSON config document; flags override it")
 
 
+#: config keys that may hold a string (masses: its comma-separated form); the
+#: others take JSON numbers, or true/false for a bare flag
+_TEXT_KEYS = frozenset({"in", "out", "beam", "trace_out", "config", "masses"})
+
+
 def _config_flags(doc: dict) -> list[str]:
     """Flag tokens for a config document: key -> --key with _ turned into -.
 
-    true becomes a bare flag, false and null are left out, and a list is
-    joined with commas.
+    true becomes a bare flag, false and null are left out, and a list of
+    masses is joined with commas.  Any other string, list or object where a
+    number belongs is an argument error.
     """
     tokens = []
     for key, value in doc.items():
         flag = "--" + key.replace("_", "-")
         if value is True:
             tokens.append(flag)
-        elif isinstance(value, list):
+        elif key == "masses" and isinstance(value, list) and all(
+                type(item) in (int, float) for item in value):  # type() also rules out bool
             tokens.append(f"{flag}={','.join(str(item) for item in value)}")
-        elif value is not False and value is not None:
+        elif type(value) in (int, float) or isinstance(value, str) and key in _TEXT_KEYS:
             tokens.append(f"{flag}={value}")
+        elif value is not False and value is not None:
+            kind = {str: "a string", list: "a list"}.get(type(value), "an object")
+            raise ValueError(f"argument {flag}: config value has the wrong JSON type ({kind})")
     return tokens
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,6 +13,9 @@ from .beam import positive_finite
 #: significant digits written to CSV.  Not a lossless float round trip: a
 #: reloaded value differs from the written float by up to 5e-12 relative.
 CSV_DIGITS = 12
+
+#: rows formatted per batch by write_csv
+_BLOCK_ROWS = 1 << 16
 
 
 def fmt(x: float) -> str:
@@ -67,21 +71,66 @@ class TimeSeries:
 def write_csv(path, header, columns) -> None:
     """Write equal-length numeric columns under a comma-separated header.
 
-    Given a path instead of this UTF-8 handle, numpy would encode the header
-    (which may be a label read from an input) as latin-1.
+    The bytes are those of ``np.savetxt`` with a ``%.12g`` cell format, but the
+    rows come from one template over Python floats.  A header cell holding a
+    comma, a quote or a line break is quoted as the csv module quotes it, so
+    that read_numeric_csv reads the header back.
     """
     table = np.column_stack(columns)
+    row = ",".join([f"%.{CSV_DIGITS}g"] * table.shape[1]) + "\n"
+    names = ['"' + name.replace('"', '""') + '"' if any(c in name for c in ',"\r\n') else name
+             for name in header]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        np.savetxt(fh, table, fmt=f"%.{CSV_DIGITS}g", delimiter=",",
-                   header=",".join(header), comments="")
+        fh.write(",".join(names) + "\n")
+        for start in range(0, len(table), _BLOCK_ROWS):  # bounded memory for Python floats
+            fh.writelines(row % values
+                          for values in zip(*table[start:start + _BLOCK_ROWS].T.tolist()))
 
 
 def read_numeric_csv(path, n_columns: int | None = None):
-    """Read a headered CSV of floats in one pass; returns (header, list of column arrays).
+    """Read a headered CSV of floats; returns (header, list of column arrays).
 
-    Raises ValueError with a distinct message for an empty file, a ragged or wrongly sized
-    row, a cell that does not parse as a number, and a line the csv module cannot split.
+    A plain file is streamed in one pass; anything else is read again by the csv
+    module.  Raises ValueError with a distinct message for an empty file, a ragged
+    or wrongly sized row, a cell that does not parse as a number, and a line the
+    csv module cannot split.
     """
+    try:
+        return _read_plain_csv(path, n_columns)
+    except ValueError:  # anything unusual: the validating reader accepts it or names the fault
+        return _read_csv_checked(path, n_columns)
+
+
+def _read_plain_csv(path, n_columns):
+    """Fast path: split lines on commas and parse every cell with float().
+
+    It returns what _read_csv_checked returns or raises a bare ValueError.  A
+    quote in a data line fails float(); a carriage return either ends a line
+    early, which fails the newline count below, or precedes its newline, which
+    float() ignores as whitespace just as csv drops both.
+    """
+    limit = csv.field_size_limit()
+    with open(path, encoding="utf-8", newline="") as fh:
+        first = fh.readline()
+        header = [name.strip() for name in first[:-1].split(",")]
+        if (not first.endswith("\n") or not first.strip() or '"' in first
+                or len(first) > limit or n_columns not in (None, len(header))):
+            raise ValueError
+        width, values = len(header), array("d")
+        while lines := fh.readlines(1 << 20):
+            lines[-1] = lines[-1].rstrip("\n") + "\n"  # the file's last line may lack it
+            cells = ",".join(lines).split(",")
+            # each line's one newline ends its last cell: every line holds `width`
+            # cells exactly when the count fits and every width-th cell ends a line
+            if (max(map(len, lines)) > limit or len(cells) != width * len(lines)
+                    or "".join(cells[width - 1::width]).count("\n") != len(lines)):
+                raise ValueError
+            values.extend(map(float, cells))
+    table = np.array(values).reshape(-1, width)
+    return header, [table[:, j].copy() for j in range(width)]
+
+
+def _read_csv_checked(path, n_columns):
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:

@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BENCH_BEAM
+import flexmove
 from flexmove.cli import main
 from flexmove.timeseries import read_numeric_csv, write_csv
 
@@ -211,6 +216,35 @@ class TestFilter:
         assert "error" in stderr
 
 
+#: spawns argv[1:] and prints its exit code and its own peak resident size
+LAUNCHER = """import os, sys
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_filter_job_memory_stays_bounded(tmp_path):
+    # A 300 000-row order-8 job must not hold the whole file's text: parsed in one
+    # piece it peaked at 138 MB, streamed at 67 MB.  An exec'd process inherits the
+    # peak of the image it replaces, so a small launcher, not this test process,
+    # spawns the job.
+    inp = tmp_path / "trace.csv"
+    t = np.arange(300_000) / 2000.0
+    write_csv(inp, ("t", "a_tip"), (t, np.sin(t) + 0.01 * np.cos(300.0 * t)))
+    src = str(Path(flexmove.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "flexmove", "filter",
+         "--in", str(inp), "--out", str(tmp_path / "filtered.csv"), "--order", "8"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+        check=True)
+    code, peak_kib = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak_kib < 100 * 1024
+
+
 class TestReport:
     def test_prints_table(self, capsys, beam_json, tmp_path):
         out = tmp_path / "table.csv"
@@ -279,7 +313,9 @@ class TestConfigFile:
         assert code == 2
         assert "unrecognized arguments: --sample-rate=100.0" in stderr
 
-    @pytest.mark.parametrize("key,value,n", [("exploratory", "false", 2.5), ("rate", True, 2)])
+    @pytest.mark.parametrize("key,value,n", [("exploratory", "false", 2.5), ("rate", True, 2),
+                                             ("rate", "1500", 2), ("rate", [1500], 2),
+                                             ("rate", {"hz": 1500}, 2)])
     def test_mistyped_values_are_argument_errors(self, tmp_path, capsys, key, value, n):
         out = tmp_path / "x.csv"
         config = self.write_config(tmp_path, L=0.41, k=5.78, n=n, mass=0.09, out=str(out),
@@ -353,6 +389,18 @@ class TestMalformedInput:
         assert one_error_line(code, stderr), stderr
         assert f"{inp}: line 3: field larger than field limit" in stderr
 
+    def test_filter_reads_its_own_output_under_a_quoted_label(self, tmp_path, capsys):
+        inp = tmp_path / "trace.csv"
+        t = np.arange(120) / 1500.0
+        rows = zip(t.tolist(), np.sin(t).tolist())
+        inp.write_text('t,"a,b"\n' + "".join(f"{x!r},{y!r}\n" for x, y in rows))
+        once, twice = tmp_path / "once.csv", tmp_path / "twice.csv"
+        assert run(capsys, "filter", "--in", str(inp), "--out", str(once))[0] == 0
+        code, _, stderr = run(capsys, "filter", "--in", str(once), "--out", str(twice))
+        assert code == 0, stderr
+        assert once.read_text().startswith('t,"a,b"\n')
+        assert read_numeric_csv(twice, n_columns=2)[0] == ["t", "a,b"]
+
     def test_line_break_in_a_quoted_header(self, tmp_path, capsys):
         inp = tmp_path / "trace.csv"
         inp.write_text('t,"a\nb",c\n0,0,0\n')
@@ -383,6 +431,7 @@ def run_quietly(argv):
     if code:
         assert stderr.getvalue().startswith("error: "), stderr.getvalue()
         assert stderr.getvalue().count("\n") == 1, stderr.getvalue()
+    return code
 
 
 @settings(max_examples=150, deadline=None)
@@ -397,6 +446,46 @@ def test_any_json_value_in_a_beam_field(tmp_path_factory, field, value, command)
                      "--out", str(workdir / "plan.csv")])
     else:
         run_quietly(["report", "--beam", str(beam), "--masses", "0.02,0.09", "--L", "0.41"])
+
+
+CONFIG_BASES = {
+    "plan": dict(L=0.41, k=5.78, n=2, mass=0.09, rate=50),
+    "simulate": dict(L=0.41, k=5.78, n=2, mass=0.09, step=0.01),
+    "sweep": dict(L=0.41, k=5.78, mass=0.09, n_from=2, n_to=3, step=0.25),
+    "report": dict(masses=[0.02, 0.09], L=0.41, n=2, unmatched_n=2.5),
+}
+CONFIG_NUMBERS = (st.integers(-3, 12) | st.floats(-3.0, 12.0).map(lambda x: round(x, 2))
+                  | st.sampled_from([1e-300, 1e300]))
+CONFIG_VALUES = st.recursive(
+    st.none() | st.booleans() | CONFIG_NUMBERS | st.text(max_size=6)
+    | CONFIG_NUMBERS.map(str),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=2),
+    max_leaves=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(sorted(CONFIG_BASES)), data=st.data())
+def test_any_json_value_in_a_config_document(tmp_path_factory, command, data):
+    # numbers stay coarse, so that a run that is accepted stays cheap; the types vary
+    base = CONFIG_BASES[command]
+    doc = dict(base, **data.draw(st.dictionaries(
+        st.sampled_from(sorted(base) + ["exploratory", "cutoff_hz"]), CONFIG_VALUES,
+        max_size=3)))
+    workdir = tmp_path_factory.mktemp("config")
+    if command == "report":
+        doc["beam"] = str(workdir / "beam.json")
+        (workdir / "beam.json").write_text(json.dumps(BENCH_BEAM))
+    elif command != "simulate":
+        doc["out"] = str(workdir / "out.csv")
+    config = workdir / "run.json"
+    config.write_text(json.dumps(doc))
+    code = run_quietly([command, "--config", str(config)])
+    assert code in (0, 2)
+    mistyped = [key for key, value in doc.items()
+                if key not in ("out", "beam", "masses") and isinstance(value, (str, list, dict))]
+    if mistyped:  # a string, list or object where a number or a bool belongs
+        assert code == 2
 
 
 @settings(max_examples=150, deadline=None)

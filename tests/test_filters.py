@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flexmove import TimeSeries, design_butterworth, filtfilt, magnitude_response
+from flexmove.filters import _biquad_pass
 
 RATE = 1500.0
 
@@ -76,6 +77,48 @@ class TestDesign:
         assert all(sec.is_stable() for sec in design.sections)
         assert magnitude_response(design, 0.0) == pytest.approx(1.0, abs=1e-9)
         assert magnitude_response(design, ratio * RATE) == pytest.approx(1 / math.sqrt(2), abs=1e-6)
+
+
+def numpy_scalar_biquad_pass(sec, x):
+    """The section loop as it ran on numpy scalars into a preallocated array."""
+    b0, b1, b2, a1, a2 = sec.b0, sec.b1, sec.b2, sec.a1, sec.a2
+    y = np.empty_like(x)
+    z1 = 0.0
+    z2 = 0.0
+    for i, xi in enumerate(x):
+        yi = b0 * xi + z1
+        z1 = b1 * xi + z2 - a1 * yi
+        z2 = b2 * xi - a2 * yi
+        y[i] = yi
+    return y
+
+
+def same_bits(a, b):
+    """Bit-identical arrays, except that a NaN may differ in sign and payload: IEEE 754
+    leaves open which NaN operand an operation returns, and numpy's scalar operators
+    pass operands in another order than Python's.  Written to CSV, every NaN is `nan`."""
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(order=st.sampled_from([2, 4, 6, 8]), fraction=st.floats(1e-4, 0.49),
+       x=st.lists(st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, math.inf, math.nan]),
+                  min_size=1, max_size=200))
+def test_biquad_pass_matches_the_numpy_scalar_loop(order, fraction, x):
+    design = design_butterworth(order, fraction * RATE, RATE)
+    signal = np.array(x)
+    with np.errstate(all="ignore"):  # the numpy scalar loop warns on inf - inf
+        for sec in design.sections:
+            assert same_bits(_biquad_pass(sec, signal), numpy_scalar_biquad_pass(sec, signal))
+
+
+def test_bench_trace_filters_bit_for_bit(bench_design):
+    rng = np.random.default_rng(5)
+    signal = np.sin(np.arange(5000) / 50.0) + 0.1 * rng.standard_normal(5000)
+    for sec in bench_design.sections:
+        reference = numpy_scalar_biquad_pass(sec, signal)
+        assert _biquad_pass(sec, signal).tobytes() == reference.tobytes()
 
 
 class TestFiltfilt:

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -66,6 +67,60 @@ class TestClosedForm:
         x, _, a = relative_motion(spec, t)
         residual = a + k * k * x + spec.acceleration(t)
         assert abs(residual) <= 1e-10 * max(1.0, spec.peak_acceleration)
+
+
+def numpy_scalar_integrate(forcing, k, t_end, step, initial_state=(0.0, 0.0)):
+    """The RK4 loop of integrate as it ran on numpy scalars into preallocated arrays."""
+    n_steps = max(1, math.ceil(t_end / step - 1e-9))
+    times = t_end * np.arange(n_steps + 1) / n_steps
+    mids = 0.5 * (times[:-1] + times[1:])
+    u_nodes = np.broadcast_to(np.asarray(forcing(times), dtype=float), times.shape)
+    u_mids = np.broadcast_to(np.asarray(forcing(mids), dtype=float), mids.shape)
+    h = t_end / n_steps
+    ksq = k * k
+    xs = np.empty(n_steps + 1)
+    vs = np.empty(n_steps + 1)
+    x, v = float(initial_state[0]), float(initial_state[1])
+    xs[0], vs[0] = x, v
+    for i in range(n_steps):
+        u0, um, u1 = u_nodes[i], u_mids[i], u_nodes[i + 1]
+        k1x = v
+        k1v = -ksq * x - u0
+        k2x = v + 0.5 * h * k1v
+        k2v = -ksq * (x + 0.5 * h * k1x) - um
+        k3x = v + 0.5 * h * k2v
+        k3v = -ksq * (x + 0.5 * h * k2x) - um
+        k4x = v + h * k3v
+        k4v = -ksq * (x + h * k3x) - u1
+        x += h * (k1x + 2.0 * (k2x + k3x) + k4x) / 6.0
+        v += h * (k1v + 2.0 * (k2v + k3v) + k4v) / 6.0
+        xs[i + 1] = x
+        vs[i + 1] = v
+    return times, xs, vs
+
+
+@settings(max_examples=30, deadline=None)
+@given(params=spec_params, per_period=st.integers(51, 90), block=st.integers(1, 64),
+       x0=st.floats(-1.0, 1.0), v0=st.floats(-1.0, 1.0))
+def test_integrate_matches_the_numpy_scalar_loop(params, per_period, block, x0, v0):
+    # bit for bit, across block boundaries, on array and on constant forcing
+    L, k, n = params
+    spec = MotionSpec(L=L, k=k, n=float(n), m=0.1)
+    steps = per_period * n
+    for forcing in (spec.acceleration, lambda t: 0.25):
+        with mock.patch.object(oscillator, "_BLOCK_STEPS", block):
+            trace = integrate(forcing, spec.k, spec.t1, spec.t1 / steps, initial_state=(x0, v0))
+        t, xs, vs = numpy_scalar_integrate(forcing, spec.k, spec.t1, spec.t1 / steps, (x0, v0))
+        assert (trace.t.tobytes(), trace.x.tobytes(), trace.v.tobytes()) == \
+            (t.tobytes(), xs.tobytes(), vs.tobytes())
+
+
+def test_default_integration_matches_the_numpy_scalar_loop(bench_spec):
+    # the simulate default: 20 000 steps in one block
+    trace = simulate_relative(bench_spec)
+    _, xs, vs = numpy_scalar_integrate(bench_spec.acceleration, bench_spec.k, bench_spec.t1,
+                                       bench_spec.t1 / 20_000)
+    assert trace.x.tobytes() == xs.tobytes() and trace.v.tobytes() == vs.tobytes()
 
 
 class TestIntegrator:

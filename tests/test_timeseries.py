@@ -1,11 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flexmove import TimeSeries, load_trace, save_trace
+from flexmove import timeseries
 from flexmove.timeseries import fmt, read_numeric_csv, write_csv
 
 
@@ -104,3 +106,100 @@ class TestCsvRoundTrip:
         path.write_text("a,b\n1,2\n3\n")
         with pytest.raises(ValueError, match="line 3 has 1 cells"):
             read_numeric_csv(path)
+
+
+class TestHeaderQuoting:
+    @pytest.mark.parametrize("label", ["a,b", 'say "hi"', "a\nb", "a\rb", "a, \"b\"\r\n"])
+    def test_header_cell_is_quoted_and_reads_back(self, tmp_path, label):
+        path = tmp_path / "trace.csv"
+        write_csv(path, ("t", label), ([0.0, 1.0], [2.0, 3.0]))
+        quoted = '"' + label.replace('"', '""') + '"'
+        assert path.read_bytes() == f"t,{quoted}\n0,2\n1,3\n".encode()
+        header, _ = read_numeric_csv(path, n_columns=2)
+        assert header == ["t", label.strip()]
+
+    def test_plain_header_cells_are_written_as_they_are(self, tmp_path):
+        path = tmp_path / "table.csv"
+        write_csv(path, ("t", " a_tip", "x y", "\u03b2'"), ([0.0], [1.0], [2.0], [3.0]))
+        assert path.read_bytes() == "t, a_tip,x y,\u03b2'\n0,1,2,3\n".encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(columns=st.integers(1, 4).flatmap(lambda width: st.integers(0, 12).flatmap(
+           lambda rows: st.lists(st.one_of(
+               st.lists(st.floats(), min_size=rows, max_size=rows),
+               st.lists(st.integers(-2**62, 2**62), min_size=rows, max_size=rows),
+               st.lists(st.booleans(), min_size=rows, max_size=rows)),
+               min_size=width, max_size=width))),
+       block=st.integers(1, 5))
+def test_write_csv_matches_savetxt(tmp_path_factory, columns, block):
+    # the replaced np.savetxt call is the reference, for any column dtype and
+    # with row blocks small enough that several are written
+    header = [f"c{i}" for i in range(len(columns))]
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    with mock.patch.object(timeseries, "_BLOCK_ROWS", block):
+        write_csv(path, header, columns)
+    reference = path.with_name("reference.csv")
+    with open(reference, "w", encoding="utf-8", newline="") as fh:
+        np.savetxt(fh, np.column_stack(columns), fmt="%.12g", delimiter=",",
+                   header=",".join(header), comments="")
+    assert path.read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_plain_file_takes_the_fast_path(tmp_path, newline):
+    # the validating reader is never reached for a plain file, with LF or CRLF
+    # line ends and the last line without its newline
+    path = tmp_path / "trace.csv"
+    path.write_text(newline.join(["t,x", "0,1.5", " 1e-3 ,-inf", "0.002,nan"]), newline="")
+    with mock.patch.object(timeseries, "_read_csv_checked", side_effect=AssertionError):
+        header, (t, x) = read_numeric_csv(path, n_columns=2)
+    assert header == ["t", "x"]
+    assert t.tolist() == [0.0, 1e-3, 0.002] and x[:2].tolist() == [1.5, -math.inf]
+    assert math.isnan(x[2])
+
+
+NUMERIC_CELLS = st.one_of(
+    st.floats().map(repr), st.floats().map(fmt), st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["nan", "-nan", "inf", "-Infinity", "1_000", " 1 ", "\t2\x0c", "1e999",
+                     "\u0661", "\u2028 3"]))
+JUNK_CELLS = st.one_of(
+    st.sampled_from(["", "x", '"1"', '""', "\ufeff1", "0x1", "1__0", "1\x00", "\r"]),
+    st.text(max_size=4))
+CSV_LINES = st.one_of(
+    st.lists(NUMERIC_CELLS, min_size=1, max_size=4).map(",".join),
+    st.lists(NUMERIC_CELLS | JUNK_CELLS, min_size=1, max_size=4).map(",".join),
+    st.sampled_from(["", " ", "\r", "\ufeff", '"a,b"', '"a\nb",1', "1" * 140_000 + ",1",
+                     "2," + "3" * 140_000]))
+CSV_HEADERS = st.one_of(
+    st.sampled_from(["t,x", " t , a_tip ", "\ufefft,x", 't,"a,b"', "t", "a,b,c", "", "\r",
+                     "t,x\r", "t," + "x" * 140_000]),
+    st.lists(st.text(max_size=3), min_size=1, max_size=4).map(",".join))
+
+
+@settings(max_examples=400, deadline=None)
+@example(header="t,x", lines=["0,1", "1" * 140_000 + ",1"], newline="\n", trailing=True,
+         n_columns=2)  # a field over the csv module's limit
+@example(header="t,x", lines=["0,1,2", "3"], newline="\n", trailing=False, n_columns=None)
+@example(header="t,x", lines=["0,1", "2,3"], newline="\r\n", trailing=True, n_columns=2)
+@example(header="", lines=["0,1", "2,3"], newline="\r\n", trailing=True, n_columns=None)
+@example(header='t,"a,b"', lines=[], newline="\n", trailing=True, n_columns=None)
+@given(header=CSV_HEADERS, lines=st.lists(CSV_LINES, max_size=8),
+       newline=st.sampled_from(["\n", "\n", "\r\n", "\r"]), trailing=st.booleans(),
+       n_columns=st.sampled_from([None, 1, 2, 3]))
+def test_fast_read_matches_the_validating_reader(tmp_path_factory, header, lines, newline,
+                                                 trailing, n_columns):
+    # read_numeric_csv, fast path first, gives exactly what the validating
+    # reader gives: the header and bit-identical columns, or the same message
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    text = newline.join([header, *lines]) + (newline if trailing else "")
+    path.write_text(text, encoding="utf-8", newline="")
+
+    def outcome(reader):
+        try:
+            names, columns = reader(path, n_columns)
+        except ValueError as exc:
+            return str(exc)
+        return names, [(col.dtype.str, col.shape, col.tobytes()) for col in columns]
+
+    assert outcome(read_numeric_csv) == outcome(timeseries._read_csv_checked)
