@@ -24,6 +24,9 @@ from .timeseries import fmt, load_trace, save_trace
 class _Parser(argparse.ArgumentParser):
     """Argument parser that raises usage errors as ValueError instead of exiting."""
 
+    def __init__(self, *args, **kwargs):  # a flag or config key is spelled in full
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise ValueError(message)
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,13 +101,7 @@ def read_numeric_csv(path, n_columns: int | None = None):
 
 
 def _read_plain_csv(path, n_columns):
-    """Fast path: split lines on commas and parse every cell with float().
-
-    It returns what _read_csv_checked returns or raises a bare ValueError.  A
-    quote in a data line fails float(); a carriage return either ends a line
-    early, which fails the newline count below, or precedes its newline, which
-    float() ignores as whitespace just as csv drops both.
-    """
+    """Fast path through numpy's parser: what _read_csv_checked returns, or a bare ValueError."""
     limit = csv.field_size_limit()
     with open(path, encoding="utf-8", newline="") as fh:
         first = fh.readline()
@@ -116,17 +109,15 @@ def _read_plain_csv(path, n_columns):
         if (not first.endswith("\n") or not first.strip() or '"' in first
                 or len(first) > limit or n_columns not in (None, len(header))):
             raise ValueError
-        width, values = len(header), array("d")
+        width = len(header)
+        blocks = [np.empty((0, width))]
         while lines := fh.readlines(1 << 20):
-            lines[-1] = lines[-1].rstrip("\n") + "\n"  # the file's last line may lack it
-            cells = ",".join(lines).split(",")
-            # each line's one newline ends its last cell: every line holds `width`
-            # cells exactly when the count fits and every width-th cell ends a line
-            if (max(map(len, lines)) > limit or len(cells) != width * len(lines)
-                    or "".join(cells[width - 1::width]).count("\n") != len(lines)):
+            # numpy has no field size limit, and it warns on a chunk without data
+            if max(map(len, lines)) > limit or not any(map(str.strip, lines)):
                 raise ValueError
-            values.extend(map(float, cells))
-    table = np.array(values).reshape(-1, width)
+            # comments=None: numpy would skip the `#` lines that the csv reader rejects
+            blocks.append(np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, ndmin=2))
+    table = np.concatenate(blocks)  # a ValueError unless every block is `width` wide
     return header, [table[:, j].copy() for j in range(width)]
 
 
@@ -167,6 +158,8 @@ def uniform_rate(t: np.ndarray, context: str = "trace") -> float:
     """Sample rate inferred from the median time step; rejects jittered stamps."""
     if len(t) < 2:
         raise ValueError(f"{context} must contain at least two rows")
+    if not np.isfinite(t).all():
+        raise ValueError(f"{context}: time column must hold finite numbers")
     steps = np.diff(t)
     median = float(np.median(steps))
     if median <= 0.0:
@@ -174,7 +167,7 @@ def uniform_rate(t: np.ndarray, context: str = "trace") -> float:
     if np.max(np.abs(steps - median)) > JITTER_TOL * median:
         raise ValueError(
             f"{context}: non-uniform sampling, time steps deviate more than "
-            f"{JITTER_TOL:.0%} from the median step {median:.6g} s")
+            f"{100 * JITTER_TOL:g} % from the median step {median:.6g} s")
     return 1.0 / median
 
 

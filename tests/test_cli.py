@@ -307,11 +307,18 @@ class TestConfigFile:
         assert read_numeric_csv(out, n_columns=2)[0] == ["t", "a_tip"]
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
-        config = self.write_config(tmp_path, L=0.41, k=5.78, n=2, mass=0.09,
-                                   out=str(tmp_path / "x.csv"), sample_rate=100.0)
-        code, _, stderr = run(capsys, "plan", "--config", config)
-        assert code == 2
-        assert "unrecognized arguments: --sample-rate=100.0" in stderr
+        # an abbreviated key or flag is unknown too: {"rat": 50} is not --rate 50,
+        # and {"h": true} is not --help
+        out = tmp_path / "x.csv"
+        for extra, typed, unknown in [({"sample_rate": 100.0}, [], "--sample-rate=100.0"),
+                                      ({"rat": 50}, [], "--rat=50"), ({"h": True}, [], "--h"),
+                                      ({}, ["--rat", "50"], "--rat 50")]:
+            config = self.write_config(tmp_path, L=0.41, k=5.78, n=2, mass=0.09, out=str(out),
+                                       **extra)
+            code, _, stderr = run(capsys, "plan", "--config", config, *typed)
+            assert code == 2
+            assert f"unrecognized arguments: {unknown}" in stderr
+            assert not out.exists()
 
     @pytest.mark.parametrize("key,value,n", [("exploratory", "false", 2.5), ("rate", True, 2),
                                              ("rate", "1500", 2), ("rate", [1500], 2),

@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -77,6 +78,19 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="non-uniform sampling"):
             load_trace(path)
 
+    def test_jitter_message_states_the_tolerance(self):
+        t = np.arange(50) / 100.0
+        t[20] += 0.002
+        with pytest.raises(ValueError, match=r"deviate more than 0\.1 % from the median step"):
+            timeseries.uniform_rate(t)
+
+    @pytest.mark.parametrize("stamp", ["nan", "inf"])
+    def test_non_finite_timestamp_rejected(self, tmp_path, stamp):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"t,x\n0,0\n{stamp},1\n0.02,2\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: time column must hold finite")):
+            load_trace(path)
+
     def test_single_row_rejected(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("t,x\n0,0\n")
@@ -146,17 +160,22 @@ def test_write_csv_matches_savetxt(tmp_path_factory, columns, block):
     assert path.read_bytes() == reference.read_bytes()
 
 
-@pytest.mark.parametrize("newline", ["\n", "\r\n"])
-def test_plain_file_takes_the_fast_path(tmp_path, newline):
+@pytest.mark.parametrize("newline,repeat", [("\n", 1), ("\r\n", 1), ("\n", 100_000)],
+                         ids=["\n", "\r\n", "2.8MB"])
+def test_plain_file_takes_the_fast_path(tmp_path, newline, repeat):
     # the validating reader is never reached for a plain file, with LF or CRLF
-    # line ends and the last line without its newline
+    # line ends and the last line without its newline; a file over 1 MB is read
+    # in several chunks
     path = tmp_path / "trace.csv"
-    path.write_text(newline.join(["t,x", "0,1.5", " 1e-3 ,-inf", "0.002,nan"]), newline="")
+    path.write_text(newline.join(["t,x"] + ["0,1.5", " 1e-3 ,-inf", "0.002,nan"] * repeat),
+                    newline="")
     with mock.patch.object(timeseries, "_read_csv_checked", side_effect=AssertionError):
         header, (t, x) = read_numeric_csv(path, n_columns=2)
     assert header == ["t", "x"]
-    assert t.tolist() == [0.0, 1e-3, 0.002] and x[:2].tolist() == [1.5, -math.inf]
+    assert t.tolist() == [0.0, 1e-3, 0.002] * repeat and x[:2].tolist() == [1.5, -math.inf]
     assert math.isnan(x[2])
+    assert [t.tobytes(), x.tobytes()] == [
+        col.tobytes() for col in timeseries._read_csv_checked(path, 2)[1]]
 
 
 NUMERIC_CELLS = st.one_of(
@@ -177,6 +196,7 @@ CSV_HEADERS = st.one_of(
     st.lists(st.text(max_size=3), min_size=1, max_size=4).map(",".join))
 
 
+@pytest.mark.filterwarnings("error")  # numpy warns on a chunk without data
 @settings(max_examples=400, deadline=None)
 @example(header="t,x", lines=["0,1", "1" * 140_000 + ",1"], newline="\n", trailing=True,
          n_columns=2)  # a field over the csv module's limit
@@ -184,6 +204,14 @@ CSV_HEADERS = st.one_of(
 @example(header="t,x", lines=["0,1", "2,3"], newline="\r\n", trailing=True, n_columns=2)
 @example(header="", lines=["0,1", "2,3"], newline="\r\n", trailing=True, n_columns=None)
 @example(header='t,"a,b"', lines=[], newline="\n", trailing=True, n_columns=None)
+# hazards of numpy's parser: comment characters, whitespace-only lines, a
+# chunk without data, CR line ends and an inner space
+@example(header="t,x", lines=["0,1", "#", "2,3"], newline="\n", trailing=True, n_columns=2)
+@example(header="t,x", lines=["0,1", "1#2,3"], newline="\n", trailing=True, n_columns=2)
+@example(header="t,x", lines=["0,1", " ", "2,3"], newline="\n", trailing=True, n_columns=2)
+@example(header="t", lines=["", "", ""], newline="\n", trailing=True, n_columns=None)
+@example(header="t,x", lines=["0,1", "2,3"], newline="\r", trailing=True, n_columns=2)
+@example(header="t,x", lines=["0,1", "1 2,3"], newline="\n", trailing=False, n_columns=2)
 @given(header=CSV_HEADERS, lines=st.lists(CSV_LINES, max_size=8),
        newline=st.sampled_from(["\n", "\n", "\r\n", "\r"]), trailing=st.booleans(),
        n_columns=st.sampled_from([None, 1, 2, 3]))
