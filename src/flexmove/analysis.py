@@ -6,8 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .beam import BeamSpec, positive_finite
 from .motion import (DEFAULT_QUAD_INTERVALS, MotionSpec, check_grid_size, simpson,
                      simpson_grid)

@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-import numpy as np
-
+from ._numpy import np
 from .beam import positive_finite
 from .timeseries import read_numeric_csv, uniform_rate, write_csv
 

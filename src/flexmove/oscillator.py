@@ -16,8 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .beam import positive_finite
 from .motion import (DEFAULT_QUAD_INTERVALS, TWO_PI, MotionSpec, _like, check_grid_size,
                      simpson, simpson_grid, timing_residual)
@@ -36,28 +35,23 @@ MIN_STEPS_PER_PERIOD = 50
 QUIESCENCE_TOL_FACTOR = 1e-6
 
 
-def _gain(spec: MotionSpec) -> float:
-    """Gain L*p**2 / (2*pi*(k**2 - p**2)) shared by every closed-form relative state.
-
-    With k = n*p it equals L / (2*pi*(n - 1)*(n + 1)); forming n - 1 from n
-    keeps the digits that k**2 - p**2 cancels as n approaches 1 from above.
-    """
-    return spec.L / (TWO_PI * (spec.n - 1.0) * (spec.n + 1.0))
-
-
 def relative_motion(spec: MotionSpec, t):
     """Closed-form relative displacement, velocity and acceleration at time t.
 
-    All three share the gain L / (2*pi*(n - 1)*(n + 1)); velocity and
-    acceleration carry one extra factor p.
+    All three share the gain L / (2*pi*(n - 1)*(n + 1)) and the differences
+    sin(k*t) - sin(p*t) or cos(k*t) - cos(p*t).  Written as products with
+    sin((k - p)*t/2), where k - p = p*(n - 1), the factor n - 1 cancels against
+    the gain's in closed form instead of in rounding as n approaches 1.
     """
     arr = spec._times(t)
-    k, p = spec.k, spec.p
-    gain = _gain(spec)
-    sin_k, sin_p = np.sin(k * arr), np.sin(p * arr)
-    x = gain * (p / k * sin_k - sin_p)
-    v = gain * p * (np.cos(k * arr) - np.cos(p * arr))
-    a = gain * p * (p * sin_p - k * sin_k)
+    k, p, n = spec.k, spec.p, spec.n
+    scale = spec.L / (TWO_PI * (n + 1.0))
+    half_sum = 0.5 * (k + p) * arr
+    beat = np.sin(0.5 * p * (n - 1.0) * arr) / (n - 1.0)  # tends to p*t/2 as n -> 1
+    cross = 2.0 * np.cos(half_sum) * beat  # (sin(k*t) - sin(p*t)) / (n - 1)
+    x = scale / n * (cross - np.sin(p * arr))
+    v = -2.0 * scale * p * np.sin(half_sum) * beat
+    a = -scale * p * p * (cross + np.sin(k * arr))
     return _like(t, x), _like(t, v), _like(t, a)
 
 
@@ -65,10 +59,12 @@ def final_relative_state(spec: MotionSpec) -> tuple[float, float]:
     """Relative displacement and velocity at t1, via angle-reduced evaluation.
 
     k*t1 = 2*pi*n and p*t1 = 2*pi, so the endpoint needs only the reduced
-    residuals of the timing equations; integer n gives exact zeros.
+    residuals of the timing equations; integer n gives exact zeros.  The gain
+    L*p**2 / (2*pi*(k**2 - p**2)) is formed as L / (2*pi*(n - 1)*(n + 1)), which
+    keeps the digits that k**2 - p**2 cancels as n approaches 1 from above.
     """
     cos_term, sin_term = timing_residual(spec.n)
-    gain = _gain(spec)
+    gain = spec.L / (TWO_PI * (spec.n - 1.0) * (spec.n + 1.0))
     return gain * (spec.p / spec.k) * sin_term, gain * spec.p * cos_term
 
 

@@ -5,8 +5,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._numpy import np
 from .beam import positive_finite
 
 #: significant digits written to CSV.  Not a lossless float round trip: a
@@ -75,15 +74,18 @@ def write_csv(path, header, columns) -> None:
     comma, a quote or a line break is quoted as the csv module quotes it, so
     that read_numeric_csv reads the header back.
     """
-    table = np.column_stack(columns)
-    row = ",".join([f"%.{CSV_DIGITS}g"] * table.shape[1]) + "\n"
+    lengths = [len(column) for column in columns]
+    if len(set(lengths)) != 1:
+        raise ValueError(f"need one or more columns of equal length, got lengths {lengths}")
+    row = ",".join([f"%.{CSV_DIGITS}g"] * len(columns)) + "\n"
     names = ['"' + name.replace('"', '""') + '"' if any(c in name for c in ',"\r\n') else name
              for name in header]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(names) + "\n")
-        for start in range(0, len(table), _BLOCK_ROWS):  # bounded memory for Python floats
-            fh.writelines(row % values
-                          for values in zip(*table[start:start + _BLOCK_ROWS].T.tolist()))
+        for start in range(0, lengths[0], _BLOCK_ROWS):  # bounded memory for Python floats
+            block = [column[start:start + _BLOCK_ROWS] for column in columns]
+            cells = [part.tolist() if hasattr(part, "tolist") else part for part in block]
+            fh.writelines(row % values for values in zip(*cells))
 
 
 def read_numeric_csv(path, n_columns: int | None = None):

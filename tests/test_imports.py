@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -6,16 +7,17 @@ from pathlib import Path
 import pytest
 
 import flexmove
+from conftest import BENCH_BEAM
 
 SRC = str(Path(flexmove.__file__).resolve().parents[1])
 
 
-def imported_modules(*argv):
+def imported_modules(*argv, cwd=None):
     """Names of every module a fresh `python -X importtime *argv` imports."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-X", "importtime", *argv], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
-                          check=True)
+                          check=True, cwd=cwd)
     return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
             if line.startswith("import time:")}
 
@@ -25,6 +27,30 @@ def test_scipy_stays_off_the_import_path(argv):
     modules = imported_modules(*argv)
     assert "flexmove.analysis" in modules
     assert sorted(m for m in modules if m == "scipy" or m.startswith("scipy.")) == []
+
+
+MOVE = ("--L", "0.41", "--k", "5.78", "--mass", "0.09")
+
+
+@pytest.mark.parametrize("argv,loads_numpy", [
+    (("-c", "import flexmove"), False),
+    (("-m", "flexmove", "--help"), False),
+    (("-m", "flexmove", "sweep", *MOVE, "--n-from", "1.5", "--n-to", "4", "--step", "0.25",
+      "--out", "sweep.csv"), False),
+    (("-m", "flexmove", "report", "--beam", "beam.json", "--masses", "0.02,0.09",
+      "--L", "0.41", "--out", "table.csv"), False),
+    # positive controls: the check sees numpy where a job does array work
+    (("-m", "flexmove", "plan", *MOVE, "--n", "2", "--out", "setpoints.csv"), True),
+    (("-m", "flexmove", "filter", "--in", "tip.csv", "--out", "filtered.csv"), True),
+], ids=["import", "help", "sweep", "report", "plan", "filter"])
+def test_numpy_loads_only_for_array_work(tmp_path, argv, loads_numpy):
+    (tmp_path / "beam.json").write_text(json.dumps(BENCH_BEAM))
+    (tmp_path / "tip.csv").write_text("t,a_tip\n" + "".join(f"{i / 1500!r},{i % 7}\n"
+                                                            for i in range(100)))
+    modules = imported_modules(*argv, cwd=tmp_path)
+    assert "flexmove.analysis" in modules
+    numpy_modules = sorted(m for m in modules if m == "numpy" or m.startswith("numpy."))
+    assert bool(numpy_modules) == loads_numpy, numpy_modules[:5]
 
 
 def fresh_python(code, **env):
@@ -39,10 +65,10 @@ def fresh_python(code, **env):
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
 def test_numpy_loads_without_a_blas_thread_pool():
-    code = "import os, flexmove; print(len(os.listdir('/proc/self/task')))"
+    code = "import os, flexmove, numpy; print(len(os.listdir('/proc/self/task')))"
     assert fresh_python(code) == ["1"]
 
 
 def test_an_explicit_blas_thread_count_wins():
-    code = "import os, flexmove; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    code = "import os, flexmove, numpy; print(os.environ['OPENBLAS_NUM_THREADS'])"
     assert fresh_python(code, OPENBLAS_NUM_THREADS="2") == ["2"]

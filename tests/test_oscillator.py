@@ -68,6 +68,23 @@ class TestClosedForm:
         residual = a + k * k * x + spec.acceleration(t)
         assert abs(residual) <= 1e-10 * max(1.0, spec.peak_acceleration)
 
+    @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-6, 1e-3])
+    def test_near_resonance_interior_motion_matches_mpmath(self, eps):
+        # sin(k*t) - sin(p*t) and cos(k*t) - cos(p*t) cancel as n -> 1+, at every
+        # interior t; each column is held to 1e-12 of its largest value over the move
+        spec = MotionSpec(L=0.41, k=5.78, n=1.0 + eps, m=0.09, exploratory=True)
+        times = spec.t1 * np.arange(1, 42) / 42
+        with mpmath.workdps(50):
+            n, L, k = mpmath.mpf(spec.n), mpmath.mpf(spec.L), mpmath.mpf(spec.k)
+            p = k / n
+            gain = L * p**2 / (2 * mpmath.pi * (k**2 - p**2))
+            ref = np.array([[float(gain * (p / k * mpmath.sin(k * t) - mpmath.sin(p * t))),
+                             float(gain * p * (mpmath.cos(k * t) - mpmath.cos(p * t))),
+                             float(gain * p * (p * mpmath.sin(p * t) - k * mpmath.sin(k * t)))]
+                            for t in map(mpmath.mpf, times)]).T
+        error = np.abs(np.array(relative_motion(spec, times)) - ref).max(axis=1)
+        assert (error <= 1e-12 * np.abs(ref).max(axis=1)).all(), error
+
 
 def numpy_scalar_integrate(forcing, k, t_end, step, initial_state=(0.0, 0.0)):
     """The RK4 loop of integrate as it ran on numpy scalars into preallocated arrays."""

@@ -140,15 +140,17 @@ class TestHeaderQuoting:
 
 @settings(max_examples=100, deadline=None)
 @given(columns=st.integers(1, 4).flatmap(lambda width: st.integers(0, 12).flatmap(
-           lambda rows: st.lists(st.one_of(
+           lambda rows: st.lists(st.tuples(st.one_of(
                st.lists(st.floats(), min_size=rows, max_size=rows),
                st.lists(st.integers(-2**62, 2**62), min_size=rows, max_size=rows),
                st.lists(st.booleans(), min_size=rows, max_size=rows)),
+               st.sampled_from([list, tuple, np.array])).map(lambda cells: cells[1](cells[0])),
                min_size=width, max_size=width))),
        block=st.integers(1, 5))
 def test_write_csv_matches_savetxt(tmp_path_factory, columns, block):
-    # the replaced np.savetxt call is the reference, for any column dtype and
-    # with row blocks small enough that several are written
+    # the replaced np.savetxt call is the reference, for any column dtype, for
+    # columns given as lists, tuples or arrays (which take different branches)
+    # and with row blocks small enough that several are written
     header = [f"c{i}" for i in range(len(columns))]
     path = tmp_path_factory.mktemp("csv") / "table.csv"
     with mock.patch.object(timeseries, "_BLOCK_ROWS", block):
@@ -158,6 +160,13 @@ def test_write_csv_matches_savetxt(tmp_path_factory, columns, block):
         np.savetxt(fh, np.column_stack(columns), fmt="%.12g", delimiter=",",
                    header=",".join(header), comments="")
     assert path.read_bytes() == reference.read_bytes()
+
+
+def test_write_csv_rejects_columns_of_unequal_length(tmp_path):
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValueError, match=re.escape("equal length, got lengths [3, 2]")):
+        write_csv(path, ("t", "x"), (np.zeros(3), [0.0, 1.0]))
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("newline,repeat", [("\n", 1), ("\r\n", 1), ("\n", 100_000)],
