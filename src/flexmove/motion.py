@@ -11,12 +11,13 @@ oscillation at the end of the move.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from ._numpy import np
 from .beam import positive_finite
-from .timeseries import read_numeric_csv, uniform_rate, write_csv
+from .timeseries import _BLOCK_ROWS, read_numeric_csv, uniform_rate, write_csv
 
 TWO_PI = 2.0 * math.pi
 
@@ -92,13 +93,15 @@ class MomentIntegrals(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class SetpointTable:
-    """Uniformly sampled motion setpoints (time, position, velocity, acceleration)."""
+    """Uniformly sampled motion setpoints (time, position, velocity, acceleration):
+    stdlib ``array('d')`` columns from :meth:`MotionSpec.sample_uniform`, numpy
+    arrays from :func:`load_setpoints`."""
 
     rate: float
-    t: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
-    a: np.ndarray
+    t: array | np.ndarray
+    s: array | np.ndarray
+    v: array | np.ndarray
+    a: array | np.ndarray
 
     def __len__(self) -> int:
         return len(self.t)
@@ -187,29 +190,49 @@ class MotionSpec:
             raise ValueError(f"time outside the motion interval [0, {self.t1:.12g}] s")
         return arr
 
+    def _laws(self, lib) -> tuple:
+        """s, v and u as functions of the phase p*t.  With ``lib`` numpy they map
+        arrays, with ``lib`` math they map floats, by the same operations in the
+        same order."""
+        sin, cos = lib.sin, lib.cos
+        gain_s, gain_v, gain_u = self.L / TWO_PI, self.L * self.p / TWO_PI, self.peak_acceleration
+        return (lambda pt: gain_s * (pt - sin(pt)),
+                lambda pt: gain_v * (1.0 - cos(pt)),
+                lambda pt: gain_u * sin(pt))
+
     def position(self, t) -> float | np.ndarray:
         """Carrier position s(t) = L/(2*pi) * (p*t - sin(p*t)) for t in [0, t1]."""
-        arr = self._times(t)
-        return _like(t, self.L / TWO_PI * (self.p * arr - np.sin(self.p * arr)))
+        return _like(t, self._laws(np)[0](self.p * self._times(t)))
 
     def velocity(self, t) -> float | np.ndarray:
         """Carrier velocity v(t) = L*p/(2*pi) * (1 - cos(p*t)); non-negative."""
-        arr = self._times(t)
-        return _like(t, self.L * self.p / TWO_PI * (1.0 - np.cos(self.p * arr)))
+        return _like(t, self._laws(np)[1](self.p * self._times(t)))
 
     def acceleration(self, t) -> float | np.ndarray:
         """Carrier acceleration u(t) = L*p**2/(2*pi) * sin(p*t); skew symmetric."""
-        arr = self._times(t)
-        return _like(t, self.peak_acceleration * np.sin(self.p * arr))
+        return _like(t, self._laws(np)[2](self.p * self._times(t)))
 
     def sample_uniform(self, rate: float) -> SetpointTable:
-        """Sample the motion law on the grid i/rate, i = 0 .. floor(rate*t1)."""
+        """Sample the motion law on the grid i/rate, i = 0 .. floor(rate*t1), on Python
+        floats that equal the array laws on ``np.arange(count) / rate`` bit for bit."""
         rate = positive_finite("sample rate", rate)
         check_grid_size(rate * self.t1 + 1.0, f"setpoint grid at {rate:g} Hz")
+        if rate * self.t1 < 1.0:
+            lowest = 1.0 / self.t1
+            while lowest * self.t1 < 1.0:
+                lowest = math.nextafter(lowest, math.inf)
+            raise ValueError(f"sample rate {rate:g} Hz gives a single setpoint over the "
+                             f"{self.t1:.6g} s move; the lowest admissible rate is {lowest!r} Hz")
         count = math.floor(rate * self.t1) + 1
-        t = np.arange(count) / rate
-        return SetpointTable(rate=rate, t=t, s=self.position(t),
-                             v=self.velocity(t), a=self.acceleration(t))
+        t, s, v, a = [array("d") for _ in range(4)]
+        p, laws = self.p, self._laws(math)
+        for start in range(0, count, _BLOCK_ROWS):  # bounded memory for Python floats
+            times = [i / rate for i in range(start, min(start + _BLOCK_ROWS, count))]
+            phases = [p * x for x in times]
+            t.fromlist(times)
+            for column, law in zip((s, v, a), laws):
+                column.fromlist(list(map(law, phases)))
+        return SetpointTable(rate, t, s, v, a)
 
     def moment_integrals(self, step: float | None = None) -> MomentIntegrals:
         """Composite-Simpson moments of the control and velocity over the move."""

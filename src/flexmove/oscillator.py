@@ -199,11 +199,11 @@ def tip_trace(spec: MotionSpec, rate: float, kind: str = "acceleration") -> Time
     tip; ``kind="position"`` gives the absolute tip position.
     """
     table = spec.sample_uniform(rate)
-    x, _, a = relative_motion(spec, table.t)
+    x, _, a = relative_motion(spec, np.asarray(table.t))
     if kind == "acceleration":
-        return TimeSeries(rate=rate, t0=0.0, values=table.a + a, label="a_tip")
+        return TimeSeries(rate=rate, t0=0.0, values=np.asarray(table.a) + a, label="a_tip")
     if kind == "position":
-        return TimeSeries(rate=rate, t0=0.0, values=table.s + x, label="x_tip")
+        return TimeSeries(rate=rate, t0=0.0, values=np.asarray(table.s) + x, label="x_tip")
     raise ValueError(f"unknown tip trace kind {kind!r}; use 'acceleration' or 'position'")
 
 

@@ -42,6 +42,15 @@ class TestPlan:
         assert columns[1][-1] == pytest.approx(0.41, rel=1e-9)
         assert "t1 = " in stdout and "p = " in stdout and "peak acceleration" in stdout
 
+    def test_rate_giving_one_setpoint_fails(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code, stdout, stderr = run(capsys, "plan", "--L", "0.41", "--k", "5.78", "--n", "2",
+                                   "--mass", "0.09", "--rate", "0.3", "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert "lowest admissible rate is 0.45995" in stderr
+        assert not out.exists()
+
     def test_resonant_multiple_fails(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "plan", "--L", "0.41", "--k", "5.78",
                               "--n", "1", "--mass", "0.09", "--out", str(tmp_path / "x.csv"))

@@ -19,6 +19,12 @@ MOVE = ["--L", repr(BENCH["L"]), "--k", repr(BENCH["k"]), "--n", repr(BENCH["n"]
 
 CASES = {
     "plan": (["plan", *MOVE, "--rate", "1500", "--out", "setpoints.csv"], ("setpoints.csv",)),
+    # a rate whose grid misses t1 by a fraction of a step, and a longer move
+    "plan-rate-333.3": (["plan", "--L", repr(BENCH["L"]), "--k", repr(BENCH["k"]), "--n", "3",
+                         "--mass", repr(BENCH["m"]), "--rate", "333.3", "--out", "setpoints.csv"],
+                        ("setpoints.csv",)),
+    "plan-beam": (["plan", "--L", repr(BENCH["L"]), "--beam", "beam.json", "--n", repr(BENCH["n"]),
+                   "--rate", "4000", "--out", "setpoints.csv"], ("setpoints.csv",)),
     "simulate": (["simulate", *MOVE, "--trace-out", "relative.csv"], ("relative.csv",)),
     "sweep": (["sweep", "--L", repr(BENCH["L"]), "--k", repr(BENCH["k"]),
                "--mass", repr(BENCH["m"]), "--n-from", "1.5", "--n-to", "4",
@@ -41,6 +47,18 @@ GOLDEN = {
             "8948e7c9102f146a95f7e6dcd2e6eee8f5d5ebeab6de26eff68638cb4a4aa028",
         "setpoints.csv":
             "7efa994d3201f708f5335034dc2bf03179713d8a0ed034995470fd1ea42075fa",
+    },
+    "plan-beam": {
+        "stdout":
+            "12248da560ff1ff4a179e27d66058d50275e37ddccaddf8c17e0c26071436289",
+        "setpoints.csv":
+            "eddf9f984a74ee10e3a658a5de4d86c456fc87c8589f59f9cdbe26ec5ef056d4",
+    },
+    "plan-rate-333.3": {
+        "stdout":
+            "28cd8a576a52f2b71f8684260ce74102162922316a4a32298895961056d92b58",
+        "setpoints.csv":
+            "1b4542cd779864d0b4c58cd85cc9ee76bd0131c0e12d692be2c18e98c3a28d34",
     },
     "report": {
         "stdout":

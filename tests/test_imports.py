@@ -39,10 +39,13 @@ MOVE = ("--L", "0.41", "--k", "5.78", "--mass", "0.09")
       "--out", "sweep.csv"), False),
     (("-m", "flexmove", "report", "--beam", "beam.json", "--masses", "0.02,0.09",
       "--L", "0.41", "--out", "table.csv"), False),
+    (("-m", "flexmove", "plan", *MOVE, "--n", "2", "--out", "setpoints.csv"), False),
+    (("-m", "flexmove", "plan", "--L", "0.41", "--beam", "beam.json", "--n", "2",
+      "--out", "setpoints.csv"), False),
     # positive controls: the check sees numpy where a job does array work
-    (("-m", "flexmove", "plan", *MOVE, "--n", "2", "--out", "setpoints.csv"), True),
+    (("-m", "flexmove", "simulate", *MOVE, "--n", "2"), True),
     (("-m", "flexmove", "filter", "--in", "tip.csv", "--out", "filtered.csv"), True),
-], ids=["import", "help", "sweep", "report", "plan", "filter"])
+], ids=["import", "help", "sweep", "report", "plan", "plan-beam", "simulate", "filter"])
 def test_numpy_loads_only_for_array_work(tmp_path, argv, loads_numpy):
     (tmp_path / "beam.json").write_text(json.dumps(BENCH_BEAM))
     (tmp_path / "tip.csv").write_text("t,a_tip\n" + "".join(f"{i / 1500!r},{i % 7}\n"

@@ -1,12 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import BENCH
 from flexmove import MotionSpec, load_setpoints, simpson_grid, timing_residual
+from flexmove import motion
 from flexmove.motion import simpson
 
 TWO_PI = 2.0 * math.pi
@@ -25,6 +27,31 @@ spec_params = st.tuples(
 def make(params, **kw):
     L, k, n, m = params
     return MotionSpec(L=L, k=k, n=float(n), m=m, **kw)
+
+
+@st.composite
+def spec_and_rate(draw):
+    """A strict or exploratory spec and a rate in [1 Hz, 5 kHz] that gives at
+    least two setpoints: any float, a whole number of hertz, or a rate within
+    two ulps of putting t1 on the grid."""
+    L, k, m = draw(st.floats(0.1, 2.0)), draw(st.floats(1.0, 50.0)), draw(st.floats(0.01, 1.0))
+    if draw(st.booleans()):
+        spec = MotionSpec(L=L, k=k, n=float(draw(st.integers(2, 6))), m=m)
+    else:
+        spec = MotionSpec(L=L, k=k, n=draw(st.floats(1.001, 6.0)), m=m, exploratory=True)
+    lowest = max(1.0, 1.0 / spec.t1)
+    kind = draw(st.sampled_from(["float", "whole", "near-integer"]))
+    if kind == "float":
+        rate = draw(st.floats(lowest, 5000.0))
+    elif kind == "whole":
+        rate = float(draw(st.integers(math.ceil(lowest), 5000)))
+    else:
+        rate = draw(st.integers(math.ceil(lowest * spec.t1), int(5000.0 * spec.t1))) / spec.t1
+        steps = draw(st.integers(-2, 2))
+        for _ in range(abs(steps)):
+            rate = math.nextafter(rate, math.copysign(math.inf, steps))
+    assume(1.0 <= rate <= 5000.0 and rate * spec.t1 >= 1.0)
+    return spec, rate
 
 
 class TestSpecConstruction:
@@ -165,6 +192,31 @@ class TestSampling:
         assert np.array_equal(table.s, bench_spec.position(table.t))
         assert np.array_equal(table.v, bench_spec.velocity(table.t))
         assert np.array_equal(table.a, bench_spec.acceleration(table.t))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=spec_and_rate(), block=st.integers(1, 5000) | st.just(1 << 16))
+    def test_sampler_matches_array_laws_bit_for_bit(self, case, block):
+        # the sampler runs on math.sin/cos, the array laws on numpy's: a platform
+        # whose libm and numpy round differently fails here
+        spec, rate = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(motion, "_BLOCK_ROWS", block)
+            table = spec.sample_uniform(rate)
+        t = np.arange(math.floor(rate * spec.t1) + 1) / rate
+        expected = {"t": t, "s": spec.position(t), "v": spec.velocity(t),
+                    "a": spec.acceleration(t)}
+        for name, column in expected.items():
+            assert np.asarray(getattr(table, name)).tobytes() == column.tobytes(), (
+                f"column {name} at {rate!r} Hz differs from the array law")
+
+    def test_rate_below_two_setpoints_rejected(self, bench_spec):
+        with pytest.raises(ValueError, match="single setpoint") as info:
+            bench_spec.sample_uniform(0.3)
+        lowest = float(re.search(r"lowest admissible rate is (\S+) Hz", str(info.value))[1])
+        assert lowest == pytest.approx(1.0 / BENCH_T1, rel=1e-15)
+        assert len(bench_spec.sample_uniform(lowest)) == 2
+        with pytest.raises(ValueError, match="single setpoint"):
+            bench_spec.sample_uniform(math.nextafter(lowest, 0.0))
 
     def test_rate_must_be_positive(self, bench_spec):
         with pytest.raises(ValueError, match="positive"):
