@@ -25,8 +25,7 @@ from .analysis import (AmplitudeTable, SweepResult, SweepRow, amplitude_table,
                        energy_figure, residual_amplitude, suppression_ratio, sweep_n)
 from .beam import BeamSpec, load_beam
 from .filters import Biquad, FilterDesign, design_butterworth, filtfilt, magnitude_response
-from .motion import (MomentIntegrals, MotionSpec, SetpointTable, load_setpoints,
-                     simpson_grid, timing_residual)
+from .motion import MomentIntegrals, MotionSpec, SetpointTable, simpson_grid, timing_residual
 from .oscillator import (OscillatorTrace, ResidualReport, action_value,
                          euler_lagrange_residual, final_relative_state, integrate,
                          relative_motion, residual_report, simulate_relative,
@@ -39,7 +38,7 @@ __all__ = [
     "SweepResult", "SweepRow", "TimeSeries",
     "action_value", "amplitude_table", "design_butterworth",
     "energy_figure", "euler_lagrange_residual", "filtfilt", "final_relative_state",
-    "integrate", "load_beam", "load_setpoints", "load_trace", "magnitude_response",
+    "integrate", "load_beam", "load_trace", "magnitude_response",
     "relative_motion", "residual_amplitude", "residual_report",
     "save_trace", "simpson_grid", "simulate_relative",
     "suppression_ratio", "sweep_n", "timing_residual",

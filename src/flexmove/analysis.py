@@ -154,6 +154,14 @@ class AmplitudeTable:
                   (self.masses, self.frequencies, self.matched, self.unmatched))
 
 
+def _carried_masses(masses) -> tuple[float, ...]:
+    """The masses as floats; rejects an empty list and a mass that is not positive and finite."""
+    masses = tuple(positive_finite("carried mass", m) for m in masses)
+    if not masses:
+        raise ValueError("at least one carried mass is required")
+    return masses
+
+
 def amplitude_table(masses, beam: BeamSpec, L: float, n: float = 2.0,
                     unmatched_n: float = 2.5) -> AmplitudeTable:
     """Residual amplitude per carried mass, matched timing versus mistimed.
@@ -162,9 +170,7 @@ def amplitude_table(masses, beam: BeamSpec, L: float, n: float = 2.0,
     matched column uses the integer multiple n, the mistimed column the
     non-integer unmatched_n with the same control shape.
     """
-    masses = tuple(positive_finite("carried mass", m) for m in masses)
-    if not masses:
-        raise ValueError("at least one carried mass is required")
+    masses = _carried_masses(masses)
     freqs, matched_amps, unmatched_amps = [], [], []
     for m in masses:
         k = BeamSpec(l=beam.l, b=beam.b, h=beam.h, E=beam.E, m_tip=m).frequency

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .analysis import amplitude_table, sweep_n
+from .analysis import _carried_masses, amplitude_table, sweep_n
 from .beam import load_beam, read_json_object
 from .filters import design_butterworth, filtfilt
 from .motion import MotionSpec
@@ -130,9 +130,7 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    masses = args.masses
-    if not masses:
-        raise ValueError("at least one carried mass is required")
+    masses = _carried_masses(args.masses)  # load_beam would name a bad first mass m_tip
     table = amplitude_table(masses, load_beam(args.beam, tip_mass=masses[0]),
                             L=args.L, n=args.n, unmatched_n=args.unmatched_n)
     if args.out is not None:
@@ -146,15 +144,15 @@ def float_list(text: str) -> list[float]:
     return [float(item) for item in text.split(",") if item.strip()]
 
 
-def _add_frequency_source(parser: argparse.ArgumentParser) -> None:
+def _add_payload_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--L", type=float, required=True, help="displacement of the move [m]")
     parser.add_argument("--k", type=float, help="payload natural angular frequency [rad/s]")
     parser.add_argument("--beam", help="JSON beam document supplying the frequency")
+    parser.add_argument("--mass", type=float, help="carried object mass [kg] (default: beam m_tip)")
 
 
 def _add_motion_arguments(parser: argparse.ArgumentParser) -> None:
-    _add_frequency_source(parser)
-    parser.add_argument("--mass", type=float, help="carried object mass [kg]")
+    _add_payload_arguments(parser)
     parser.add_argument("--n", type=float, required=True,
                         help="period multiple t1/t_c (integer >= 2 unless --exploratory)")
     parser.add_argument("--exploratory", action="store_true",
@@ -184,8 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", parents=[_CONFIG],
                            help="scan the period multiple and tabulate residuals")
-    _add_frequency_source(sweep)
-    sweep.add_argument("--mass", type=float, required=True, help="carried object mass [kg]")
+    _add_payload_arguments(sweep)
     sweep.add_argument("--n-from", dest="n_from", type=float, required=True,
                        help="first period multiple (> 1)")
     sweep.add_argument("--n-to", dest="n_to", type=float, required=True,

@@ -95,17 +95,18 @@ def magnitude_response(design: FilterDesign, freq_hz):
 
 
 def _biquad_pass(sec: Biquad, x: np.ndarray) -> np.ndarray:
-    # Transposed direct form II with zero initial state.
+    # Transposed direct form II with zero initial state.  Memoryviews read and write
+    # Python floats: the same IEEE arithmetic, without numpy scalars.
     b0, b1, b2, a1, a2 = sec.b0, sec.b1, sec.b2, sec.a1, sec.a2
-    y = []
-    z1 = 0.0
-    z2 = 0.0
-    for xi in x.tolist():  # Python floats: the same IEEE arithmetic, without numpy scalars
+    y = np.empty(len(x))
+    out = memoryview(y)
+    z1 = z2 = 0.0
+    for i, xi in enumerate(memoryview(x)):
         yi = b0 * xi + z1
         z1 = b1 * xi + z2 - a1 * yi
         z2 = b2 * xi - a2 * yi
-        y.append(yi)
-    return np.array(y)
+        out[i] = yi
+    return y
 
 
 def _cascade(design: FilterDesign, x: np.ndarray) -> np.ndarray:

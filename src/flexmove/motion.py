@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from ._numpy import np
 from .beam import positive_finite
-from .timeseries import _BLOCK_ROWS, read_numeric_csv, uniform_rate, write_csv
+from .timeseries import write_csv
 
 TWO_PI = 2.0 * math.pi
 
@@ -27,6 +27,9 @@ DEFAULT_QUAD_INTERVALS = 100_000
 #: most points a grid sized from user input may hold, far above the largest
 #: default grid (the 20 001-point RK4 trajectory)
 MAX_GRID_POINTS = 10_000_000
+
+#: setpoint rows sampled per block of Python floats
+_BLOCK_ROWS = 1 << 16
 
 
 def check_grid_size(points: float, what: str) -> None:
@@ -93,28 +96,19 @@ class MomentIntegrals(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class SetpointTable:
-    """Uniformly sampled motion setpoints (time, position, velocity, acceleration):
-    stdlib ``array('d')`` columns from :meth:`MotionSpec.sample_uniform`, numpy
-    arrays from :func:`load_setpoints`."""
+    """Uniform motion setpoints (time, position, velocity, acceleration) in ``array('d')``."""
 
     rate: float
-    t: array | np.ndarray
-    s: array | np.ndarray
-    v: array | np.ndarray
-    a: array | np.ndarray
+    t: array
+    s: array
+    v: array
+    a: array
 
     def __len__(self) -> int:
         return len(self.t)
 
     def write_csv(self, path) -> None:
         write_csv(path, ("t", "s", "v", "a"), (self.t, self.s, self.v, self.a))
-
-
-def load_setpoints(path) -> SetpointTable:
-    """Read a `t,s,v,a` setpoint CSV written by :meth:`SetpointTable.write_csv`."""
-    _, (t, s, v, a) = read_numeric_csv(path, n_columns=4)
-    rate = uniform_rate(t, context=f"{path}")
-    return SetpointTable(rate=rate, t=t, s=s, v=v, a=a)
 
 
 @dataclass(frozen=True)

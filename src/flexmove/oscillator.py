@@ -25,9 +25,6 @@ from .timeseries import TimeSeries, write_csv
 #: default number of RK4 steps across one move
 DEFAULT_RK4_STEPS = 20_000
 
-#: RK4 steps taken per block of Python floats
-_BLOCK_STEPS = 1 << 16
-
 #: coarsest admissible RK4 step, as a fraction of the oscillation period
 MIN_STEPS_PER_PERIOD = 50
 
@@ -111,30 +108,25 @@ def integrate(forcing, k: float, t_end: float, step: float,
     u_mids = _forcing_values(forcing, mids)
     h = t_end / n_steps
     ksq = k * k
-    xs = np.empty(n_steps + 1)
-    vs = np.empty(n_steps + 1)
+    xs, vs = np.empty(n_steps + 1), np.empty(n_steps + 1)
     x, v = float(initial_state[0]), float(initial_state[1])
     xs[0], vs[0] = x, v
-    # Python floats do the IEEE arithmetic of numpy scalars in a third of the time;
-    # blocks keep their memory bounded whatever the step count
-    for start in range(0, n_steps, _BLOCK_STEPS):
-        stop = start + _BLOCK_STEPS  # slices end at the last step
-        bx, bv = [], []
-        for u0, um, u1 in zip(u_nodes[start:stop].tolist(), u_mids[start:stop].tolist(),
-                              u_nodes[start + 1:stop + 1].tolist()):
-            k1x = v
-            k1v = -ksq * x - u0
-            k2x = v + 0.5 * h * k1v
-            k2v = -ksq * (x + 0.5 * h * k1x) - um
-            k3x = v + 0.5 * h * k2v
-            k3v = -ksq * (x + 0.5 * h * k2x) - um
-            k4x = v + h * k3v
-            k4v = -ksq * (x + h * k3x) - u1
-            x += h * (k1x + 2.0 * (k2x + k3x) + k4x) / 6.0
-            v += h * (k1v + 2.0 * (k2v + k3v) + k4v) / 6.0
-            bx.append(x)
-            bv.append(v)
-        xs[start + 1:stop + 1], vs[start + 1:stop + 1] = bx, bv
+    # memoryviews read and write the arrays as Python floats, which do the IEEE
+    # arithmetic of numpy scalars in a third of the time
+    out_x, out_v, nodes = memoryview(xs), memoryview(vs), memoryview(u_nodes)
+    for i, u0, um, u1 in zip(range(1, n_steps + 1), nodes, memoryview(u_mids), nodes[1:]):
+        k1x = v
+        k1v = -ksq * x - u0
+        k2x = v + 0.5 * h * k1v
+        k2v = -ksq * (x + 0.5 * h * k1x) - um
+        k3x = v + 0.5 * h * k2v
+        k3v = -ksq * (x + 0.5 * h * k2x) - um
+        k4x = v + h * k3v
+        k4v = -ksq * (x + h * k3x) - u1
+        x += h * (k1x + 2.0 * (k2x + k3x) + k4x) / 6.0
+        v += h * (k1v + 2.0 * (k2v + k3v) + k4v) / 6.0
+        out_x[i] = x
+        out_v[i] = v
     return OscillatorTrace(t=times, x=xs, v=vs)
 
 

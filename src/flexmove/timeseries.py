@@ -12,9 +12,6 @@ from .beam import positive_finite
 #: reloaded value differs from the written float by up to 5e-12 relative.
 CSV_DIGITS = 12
 
-#: rows formatted per batch by write_csv
-_BLOCK_ROWS = 1 << 16
-
 
 def fmt(x: float) -> str:
     """Format a float with CSV_DIGITS significant digits."""
@@ -70,22 +67,21 @@ def write_csv(path, header, columns) -> None:
     """Write equal-length numeric columns under a comma-separated header.
 
     The bytes are those of ``np.savetxt`` with a ``%.12g`` cell format, but the
-    rows come from one template over Python floats.  A header cell holding a
-    comma, a quote or a line break is quoted as the csv module quotes it, so
-    that read_numeric_csv reads the header back.
+    rows come from one template over Python floats, which a memoryview yields
+    from an array one at a time; a list or tuple is zipped as it is.  A header
+    cell holding a comma, a quote or a line break is quoted as the csv module
+    quotes it, so that read_numeric_csv reads the header back.
     """
     lengths = [len(column) for column in columns]
     if len(set(lengths)) != 1:
         raise ValueError(f"need one or more columns of equal length, got lengths {lengths}")
+    cells = [col if isinstance(col, (list, tuple)) else memoryview(col) for col in columns]
     row = ",".join([f"%.{CSV_DIGITS}g"] * len(columns)) + "\n"
     names = ['"' + name.replace('"', '""') + '"' if any(c in name for c in ',"\r\n') else name
              for name in header]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(names) + "\n")
-        for start in range(0, lengths[0], _BLOCK_ROWS):  # bounded memory for Python floats
-            block = [column[start:start + _BLOCK_ROWS] for column in columns]
-            cells = [part.tolist() if hasattr(part, "tolist") else part for part in block]
-            fh.writelines(row % values for values in zip(*cells))
+        fh.writelines(row % values for values in zip(*cells))
 
 
 def read_numeric_csv(path, n_columns: int | None = None):

@@ -165,6 +165,26 @@ class TestSweep:
         assert stderr.startswith("error:") and stderr.count("\n") == 1
         assert f"{flag[2:].replace('-', '_')} must be finite" in stderr
 
+    def test_beam_supplies_the_mass(self, tmp_path, capsys, beam_json):
+        # the beam's m_tip (0.09) is the mass, as plan --beam takes it
+        outputs = []
+        for mass in ((), ("--mass", "0.09")):
+            out = tmp_path / f"sweep{len(outputs)}.csv"
+            code, _, stderr = run(capsys, "sweep", "--L", "0.41", "--beam", beam_json, *mass,
+                                  "--n-from", "2", "--n-to", "3", "--step", "0.5",
+                                  "--out", str(out))
+            assert (code, stderr) == (0, "")
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_mass_is_required_with_k(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code, _, stderr = run(capsys, "sweep", "--L", "0.41", "--k", "5.78", "--n-from", "2",
+                              "--n-to", "3", "--step", "0.5", "--out", str(out))
+        assert code == 2
+        assert stderr == "error: missing required option --mass (carried object mass)\n"
+        assert not out.exists()
+
 
 MOVE = ("--L", "0.41", "--k", "5.78", "--n", "2", "--mass", "0.09")
 
@@ -236,22 +256,25 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
 def test_filter_job_memory_stays_bounded(tmp_path):
     # A 300 000-row order-8 job must not hold the whole file's text: parsed in one
-    # piece it peaked at 138 MB, streamed at 67 MB.  An exec'd process inherits the
-    # peak of the image it replaces, so a small launcher, not this test process,
-    # spawns the job.
+    # piece it peaked at 138 MB, streamed it peaks at 48 MB.  A ~1 M-step simulate
+    # that writes its trace must stream its forcing: it peaks at 90 MB, and at
+    # 188 MB with the forcing turned into lists.  An exec'd process inherits the peak of the image
+    # it replaces, so a small launcher, not this test process, spawns each job.
     inp = tmp_path / "trace.csv"
     t = np.arange(300_000) / 2000.0
     write_csv(inp, ("t", "a_tip"), (t, np.sin(t) + 0.01 * np.cos(300.0 * t)))
     src = str(Path(flexmove.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "flexmove", "filter",
-         "--in", str(inp), "--out", str(tmp_path / "filtered.csv"), "--order", "8"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
-        check=True)
-    code, peak_kib = map(int, proc.stdout.split())
-    assert code == 0
-    assert peak_kib < 100 * 1024
+    jobs = [("filter", "--in", str(inp), "--out", str(tmp_path / "filtered.csv"), "--order", "8"),
+            ("simulate", *MOVE, "--step", "2.2e-6", "--trace-out", str(tmp_path / "rk4.csv"))]
+    for job in jobs:
+        proc = subprocess.run(
+            [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "flexmove", *job],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+            check=True)
+        code, peak_kib = map(int, proc.stdout.split()[-2:])  # after the job's own stdout
+        assert code == 0, job[0]
+        assert peak_kib < 100 * 1024, job[0]
 
 
 class TestReport:
@@ -278,6 +301,15 @@ class TestReport:
                               "--L", "0.41")
         assert code == 2
         assert stderr == "error: at least one carried mass is required\n"
+
+    @pytest.mark.parametrize("masses", ["nan", "0.02,nan", "0", "0.02,0"])
+    def test_a_bad_mass_is_named_a_carried_mass_in_any_place(self, capsys, beam_json, masses):
+        # the first mass used to reach the beam document first and be named m_tip
+        code, _, stderr = run(capsys, "report", "--beam", beam_json, "--masses", masses,
+                              "--L", "0.41")
+        assert code == 2
+        bad = float(masses.split(",")[-1])
+        assert stderr == f"error: carried mass must be a positive finite number, got {bad!r}\n"
 
 
 class TestConfigFile:

@@ -110,7 +110,8 @@ def test_biquad_pass_matches_the_numpy_scalar_loop(order, fraction, x):
     signal = np.array(x)
     with np.errstate(all="ignore"):  # the numpy scalar loop warns on inf - inf
         for sec in design.sections:
-            assert same_bits(_biquad_pass(sec, signal), numpy_scalar_biquad_pass(sec, signal))
+            for view in (signal, signal[::-1]):  # a contiguous and a negative-stride buffer
+                assert same_bits(_biquad_pass(sec, view), numpy_scalar_biquad_pass(sec, view))
 
 
 def test_bench_trace_filters_bit_for_bit(bench_design):

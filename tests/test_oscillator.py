@@ -1,5 +1,4 @@
 import math
-from unittest import mock
 
 import mpmath
 import numpy as np
@@ -117,23 +116,22 @@ def numpy_scalar_integrate(forcing, k, t_end, step, initial_state=(0.0, 0.0)):
 
 
 @settings(max_examples=30, deadline=None)
-@given(params=spec_params, per_period=st.integers(51, 90), block=st.integers(1, 64),
+@given(params=spec_params, per_period=st.integers(51, 90),
        x0=st.floats(-1.0, 1.0), v0=st.floats(-1.0, 1.0))
-def test_integrate_matches_the_numpy_scalar_loop(params, per_period, block, x0, v0):
-    # bit for bit, across block boundaries, on array and on constant forcing
+def test_integrate_matches_the_numpy_scalar_loop(params, per_period, x0, v0):
+    # bit for bit, on array and on constant (zero-stride, broadcast) forcing
     L, k, n = params
     spec = MotionSpec(L=L, k=k, n=float(n), m=0.1)
     steps = per_period * n
     for forcing in (spec.acceleration, lambda t: 0.25):
-        with mock.patch.object(oscillator, "_BLOCK_STEPS", block):
-            trace = integrate(forcing, spec.k, spec.t1, spec.t1 / steps, initial_state=(x0, v0))
+        trace = integrate(forcing, spec.k, spec.t1, spec.t1 / steps, initial_state=(x0, v0))
         t, xs, vs = numpy_scalar_integrate(forcing, spec.k, spec.t1, spec.t1 / steps, (x0, v0))
         assert (trace.t.tobytes(), trace.x.tobytes(), trace.v.tobytes()) == \
             (t.tobytes(), xs.tobytes(), vs.tobytes())
 
 
 def test_default_integration_matches_the_numpy_scalar_loop(bench_spec):
-    # the simulate default: 20 000 steps in one block
+    # the simulate default: 20 000 steps
     trace = simulate_relative(bench_spec)
     _, xs, vs = numpy_scalar_integrate(bench_spec.acceleration, bench_spec.k, bench_spec.t1,
                                        bench_spec.t1 / 20_000)
@@ -193,11 +191,10 @@ class TestIntegrator:
 
     def test_setpoint_file_can_drive_the_integrator(self, bench_spec, tmp_path):
         # the exported t,s,v,a table is a valid forcing source for the oracle
-        from flexmove import load_setpoints
         path = tmp_path / "setpoints.csv"
         bench_spec.sample_uniform(2000.0).write_csv(path)
-        table = load_setpoints(path)
-        trace = integrate(lambda t: np.interp(t, table.t, table.a), bench_spec.k,
+        _, (t, _, _, a) = read_numeric_csv(path, n_columns=4)
+        trace = integrate(lambda times: np.interp(times, t, a), bench_spec.k,
                           bench_spec.t1, bench_spec.t1 / 20_000)
         x_closed = relative_motion(bench_spec, trace.t)[0]
         # linear interpolation of the control limits the agreement, not RK4
