@@ -16,10 +16,14 @@ from dataclasses import dataclass
 
 def positive_finite(name: str, value) -> float:
     """Return value as a float if it is a real number in (0, largest float], bools excluded."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not 0.0 < value <= sys.float_info.max):
-        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-    return float(value)
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:  # a numpy scalar is compared as a float, not the float's maximum cast to its type
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            number = math.inf
+        if 0.0 < number <= sys.float_info.max:
+            return number
+    raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,10 @@ sqrt(x**2 + (v/k)**2) is the size of the oscillation left behind.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 
 from ._numpy import np
 from .beam import positive_finite
@@ -67,11 +70,11 @@ def final_relative_state(spec: MotionSpec) -> tuple[float, float]:
 
 @dataclass(frozen=True, eq=False)
 class OscillatorTrace:
-    """Oscillator states on a uniform time grid."""
+    """Oscillator states on a uniform time grid, in ``array('d')``."""
 
-    t: np.ndarray
-    x: np.ndarray
-    v: np.ndarray
+    t: array
+    x: array
+    v: array
 
     def __len__(self) -> int:
         return len(self.t)
@@ -86,55 +89,82 @@ def _forcing_values(forcing, times: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(forcing(times), dtype=float), times.shape)
 
 
-def integrate(forcing, k: float, t_end: float, step: float,
-              initial_state: tuple[float, float] = (0.0, 0.0)) -> OscillatorTrace:
-    """Fixed-step classical RK4 trajectory of the driven oscillator.
-
-    The requested step is shrunk, if needed, so that a whole number of steps
-    lands exactly on t_end.  Steps coarser than a fiftieth of the oscillation
-    period are rejected.
-    """
-    k, t_end, step = map(positive_finite, ("k", "t_end", "integration step"), (k, t_end, step))
+def _step_count(k: float, t_end: float, step: float) -> int:
+    """Number of RK4 steps across [0, t_end], by the rules :func:`integrate` states."""
     coarsest = TWO_PI / k / MIN_STEPS_PER_PERIOD
     if step > coarsest:
         raise ValueError(
             f"integration step too coarse: need 0 < step <= {coarsest:.6g} s "
             f"({MIN_STEPS_PER_PERIOD} steps per oscillation period)")
     check_grid_size(t_end / step + 1.0, f"RK4 trajectory with step {step:g} s")
-    n_steps = max(1, math.ceil(t_end / step - 1e-9))
-    times = t_end * np.arange(n_steps + 1) / n_steps
-    mids = 0.5 * (times[:-1] + times[1:])
-    u_nodes = _forcing_values(forcing, times)
-    u_mids = _forcing_values(forcing, mids)
-    h = t_end / n_steps
-    ksq = k * k
-    xs, vs = np.empty(n_steps + 1), np.empty(n_steps + 1)
-    x, v = float(initial_state[0]), float(initial_state[1])
-    xs[0], vs[0] = x, v
-    # memoryviews read and write the arrays as Python floats, which do the IEEE
-    # arithmetic of numpy scalars in a third of the time
-    out_x, out_v, nodes = memoryview(xs), memoryview(vs), memoryview(u_nodes)
-    for i, u0, um, u1 in zip(range(1, n_steps + 1), nodes, memoryview(u_mids), nodes[1:]):
+    return max(1, math.ceil(t_end / step - 1e-9))
+
+
+def _rk4(nodes, mids, k: float, h: float, x: float, v: float) -> tuple[array, array]:
+    """Classical RK4 states of x'' + k**2 * x = -u from (x, v), one step of h per
+    midpoint forcing value in ``mids``; ``nodes`` holds the forcing at the step
+    ends, one value more.  Each sequence is iterated once, as Python floats."""
+    # -ksq * x and 0.5 * h * k1v multiply left to right, so their first factors
+    # can be formed once without changing a bit
+    nksq, half = -k * k, 0.5 * h
+    xs, vs = array("d", [x]), array("d", [v])
+    nodes = iter(nodes)
+    u0 = next(nodes)
+    for um, u1 in zip(mids, nodes):
         k1x = v
-        k1v = -ksq * x - u0
-        k2x = v + 0.5 * h * k1v
-        k2v = -ksq * (x + 0.5 * h * k1x) - um
-        k3x = v + 0.5 * h * k2v
-        k3v = -ksq * (x + 0.5 * h * k2x) - um
+        k1v = nksq * x - u0
+        k2x = v + half * k1v
+        k2v = nksq * (x + half * k1x) - um
+        k3x = v + half * k2v
+        k3v = nksq * (x + half * k2x) - um
         k4x = v + h * k3v
-        k4v = -ksq * (x + h * k3x) - u1
+        k4v = nksq * (x + h * k3x) - u1
         x += h * (k1x + 2.0 * (k2x + k3x) + k4x) / 6.0
         v += h * (k1v + 2.0 * (k2v + k3v) + k4v) / 6.0
-        out_x[i] = x
-        out_v[i] = v
-    return OscillatorTrace(t=times, x=xs, v=vs)
+        xs.append(x)
+        vs.append(v)
+        u0 = u1
+    return xs, vs
+
+
+def integrate(forcing, k: float, t_end: float, step: float,
+              initial_state: tuple[float, float] = (0.0, 0.0)) -> OscillatorTrace:
+    """Fixed-step classical RK4 trajectory of the driven oscillator.
+
+    The requested step is shrunk, if needed, so that a whole number of steps
+    lands exactly on t_end.  Steps coarser than a fiftieth of the oscillation
+    period are rejected.  ``forcing`` maps an array of times to an array of
+    forcing values, or to one constant.
+    """
+    k, t_end, step = map(positive_finite, ("k", "t_end", "integration step"), (k, t_end, step))
+    n_steps = _step_count(k, t_end, step)
+    times = t_end * np.arange(n_steps + 1) / n_steps
+    mids = 0.5 * (times[:-1] + times[1:])
+    # memoryviews yield the arrays as Python floats, which do the IEEE arithmetic
+    # of numpy scalars in a third of the time
+    xs, vs = _rk4(memoryview(_forcing_values(forcing, times)),
+                  memoryview(_forcing_values(forcing, mids)), k, t_end / n_steps,
+                  float(initial_state[0]), float(initial_state[1]))
+    return OscillatorTrace(t=array("d", times.tobytes()), x=xs, v=vs)
 
 
 def simulate_relative(spec: MotionSpec, step: float | None = None) -> OscillatorTrace:
-    """RK4 trace of the relative motion over the full move of a spec."""
+    """RK4 trace of the relative motion over the full move of a spec.
+
+    Bit for bit ``integrate(spec.acceleration, spec.k, spec.t1, step)``: the grid
+    and the forcing come from the same operations in the same order, on Python
+    floats and math.sin, streamed so that no whole-run list is built.
+    """
     if step is None:
         step = spec.t1 / DEFAULT_RK4_STEPS
-    return integrate(spec.acceleration, spec.k, spec.t1, step)
+    t_end = spec.t1
+    n_steps = _step_count(spec.k, t_end, positive_finite("integration step", step))
+    times = array("d", (t_end * i / n_steps for i in range(n_steps + 1)))
+    p, law = spec.p, spec._laws(math)[2]
+    nodes = (law(p * t) for t in times)
+    mids = (law(p * (0.5 * (a + b))) for a, b in zip(times, islice(times, 1, None)))
+    xs, vs = _rk4(nodes, mids, spec.k, t_end / n_steps, 0.0, 0.0)
+    return OscillatorTrace(t=times, x=xs, v=vs)
 
 
 @dataclass(frozen=True)
@@ -159,6 +189,15 @@ class ResidualReport:
         }
 
 
+def _nearest(grid, t: float) -> int:
+    """Index of the first point of a sorted grid nearest to t, as np.argmin(np.abs(grid - t))
+    picks it."""
+    i = bisect_left(grid, t)
+    if i == len(grid) or i > 0 and t - grid[i - 1] <= grid[i] - t:
+        return bisect_left(grid, grid[i - 1])  # the first of equal points
+    return i
+
+
 def residual_report(spec: MotionSpec, trace: OscillatorTrace | None = None) -> ResidualReport:
     """Quiescence metrics at the end of the move.
 
@@ -174,7 +213,7 @@ def residual_report(spec: MotionSpec, trace: OscillatorTrace | None = None) -> R
     else:
         if trace.t[-1] < spec.t1 * (1.0 - 1e-9):
             raise ValueError("trace does not cover the whole move [0, t1]")
-        idx = int(np.argmin(np.abs(trace.t - spec.t1)))
+        idx = _nearest(trace.t, spec.t1)
         x_end, v_end = float(trace.x[idx]), float(trace.v[idx])
     amplitude = math.hypot(x_end, v_end / spec.k)
     return ResidualReport(
@@ -238,6 +277,13 @@ def euler_lagrange_residual(spec: MotionSpec, t, position_fn=None, accel_fn=None
 
 
 def write_relative_trace(path, spec: MotionSpec, trace: OscillatorTrace) -> None:
-    """CSV of an integrated relative motion with header t,x_r,v_r,a_r."""
-    a = -spec.k**2 * trace.x - spec.acceleration(trace.t)
+    """CSV of an integrated relative motion with header t,x_r,v_r,a_r.
+
+    The a_r column is -k**2 * x_r - u(t), with u evaluated as in simulate_relative.
+    """
+    t1 = spec.t1
+    if trace.t[0] < -1e-12 * t1 or trace.t[-1] > t1 + 1e-12 * t1:
+        raise ValueError(f"time outside the motion interval [0, {t1:.12g}] s")
+    nksq, p, law = -spec.k**2, spec.p, spec._laws(math)[2]
+    a = array("d", (nksq * x - law(p * t) for t, x in zip(trace.t, trace.x)))
     write_csv(path, ("t", "x_r", "v_r", "a_r"), (trace.t, trace.x, trace.v, a))

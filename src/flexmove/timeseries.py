@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 from ._numpy import np
 from .beam import positive_finite
@@ -11,6 +13,13 @@ from .beam import positive_finite
 #: significant digits written to CSV.  Not a lossless float round trip: a
 #: reloaded value differs from the written float by up to 5e-12 relative.
 CSV_DIGITS = 12
+
+#: rows formatted per string operation by write_csv
+_WRITE_ROWS = 1024
+
+#: memoryview formats that read as Python numbers: native byte order, no half or
+#: extended floats
+_NATIVE_FORMATS = frozenset("?bBhHiIlLqQnNfd")
 
 
 def fmt(x: float) -> str:
@@ -50,8 +59,11 @@ class TimeSeries:
         if values.ndim != 1 or len(values) < 2:
             raise ValueError("a time series needs at least two samples")
         object.__setattr__(self, "values", values)
-        if self.stamps is not None and len(self.stamps) != len(values):
-            raise ValueError("timestamps and values differ in length")
+        if self.stamps is not None:
+            stamps = np.asarray(self.stamps, dtype=float)
+            if len(stamps) != len(values):
+                raise ValueError("timestamps and values differ in length")
+            object.__setattr__(self, "stamps", stamps)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -63,25 +75,39 @@ class TimeSeries:
         return self.t0 + np.arange(len(self.values)) / self.rate
 
 
+def _cells(column):
+    """A column as write_csv zips it: a list or tuple as it is, anything else
+    through a memoryview, which yields Python numbers one at a time.  An array of
+    a dtype a memoryview cannot read (byte-swapped, half or extended precision)
+    becomes float64 cell by cell, as the % operator would convert it."""
+    if isinstance(column, (list, tuple)):
+        return column
+    view = memoryview(column)
+    return view if view.format in _NATIVE_FORMATS else array("d", map(float, column))
+
+
 def write_csv(path, header, columns) -> None:
     """Write equal-length numeric columns under a comma-separated header.
 
     The bytes are those of ``np.savetxt`` with a ``%.12g`` cell format, but the
-    rows come from one template over Python floats, which a memoryview yields
-    from an array one at a time; a list or tuple is zipped as it is.  A header
-    cell holding a comma, a quote or a line break is quoted as the csv module
-    quotes it, so that read_numeric_csv reads the header back.
+    cells are Python numbers formatted _WRITE_ROWS rows at a time by one
+    template.  A header cell holding a comma, a quote or a line break is quoted
+    as the csv module quotes it, so that read_numeric_csv reads the header back.
     """
     lengths = [len(column) for column in columns]
     if len(set(lengths)) != 1:
         raise ValueError(f"need one or more columns of equal length, got lengths {lengths}")
-    cells = [col if isinstance(col, (list, tuple)) else memoryview(col) for col in columns]
+    flat = chain.from_iterable(zip(*map(_cells, columns)))
     row = ",".join([f"%.{CSV_DIGITS}g"] * len(columns)) + "\n"
+    block, width = row * _WRITE_ROWS, _WRITE_ROWS * len(columns)
+    full, rest = divmod(lengths[0], _WRITE_ROWS)
     names = ['"' + name.replace('"', '""') + '"' if any(c in name for c in ',"\r\n') else name
              for name in header]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(names) + "\n")
-        fh.writelines(row % values for values in zip(*cells))
+        for _ in range(full):
+            fh.write(block % tuple(islice(flat, width)))
+        fh.write(row * rest % tuple(islice(flat, rest * len(columns))))
 
 
 def read_numeric_csv(path, n_columns: int | None = None):

@@ -66,7 +66,7 @@ def test_c2_integrator_matches_closed_form():
                           n=float(rng.integers(2, 11)), m=0.1)
         trace = simulate_relative(spec, step=spec.t1 / 20_000)
         closed = relative_motion(spec, trace.t)[0]
-        assert np.max(np.abs(trace.x - closed)) <= ORACLE_TOL
+        assert np.max(np.abs(np.asarray(trace.x) - closed)) <= ORACLE_TOL
 
 
 def test_c3_beam_chain_reproduces_bench_frequency():

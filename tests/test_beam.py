@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import BENCH_BEAM
 from flexmove import BeamSpec, MotionSpec, load_beam
+from flexmove.beam import positive_finite
 
 # Frozen chain values for the bench strip (l=0.305, b=0.013, h=5e-4, E=2.1e11).
 BENCH_I = 1.3541666666666668e-13
@@ -116,6 +117,20 @@ class TestBeamSpec:
         beam = BeamSpec(**dict(BENCH_BEAM, E=np.int64(210_000_000_000)))
         assert beam == bench_beam
         assert type(beam.E) is float
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scalar", [np.float16, np.float32, np.float64, np.longdouble,
+                                        np.int64])
+    def test_numpy_scalars_compare_without_warnings(self, scalar):
+        # compared in their own type, float max overflows float16 and float32 with a warning
+        assert positive_finite("k", scalar(5)) == 5.0
+        with pytest.raises(ValueError, match="^k must be a positive finite number"):
+            positive_finite("k", -scalar(5))
+
+    @pytest.mark.filterwarnings("error")
+    def test_extended_float_beyond_the_float_range_rejected(self):
+        with pytest.raises(ValueError, match="^k must be a positive finite number"):
+            positive_finite("k", np.longdouble("1e400"))
 
     @pytest.mark.parametrize("field", ["l", "b", "E", "m_tip"])
     def test_bools_rejected(self, field):

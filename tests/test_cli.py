@@ -257,9 +257,10 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 def test_filter_job_memory_stays_bounded(tmp_path):
     # A 300 000-row order-8 job must not hold the whole file's text: parsed in one
     # piece it peaked at 138 MB, streamed it peaks at 48 MB.  A ~1 M-step simulate
-    # that writes its trace must stream its forcing: it peaks at 90 MB, and at
-    # 188 MB with the forcing turned into lists.  An exec'd process inherits the peak of the image
-    # it replaces, so a small launcher, not this test process, spawns each job.
+    # that writes its trace must stream its forcing: it peaks at 47 MB (90 MB when it
+    # evaluated the forcing with numpy), and at 114 MB with the forcing turned into
+    # lists.  An exec'd process inherits the peak of the image it replaces, so a
+    # small launcher, not this test process, spawns each job.
     inp = tmp_path / "trace.csv"
     t = np.arange(300_000) / 2000.0
     write_csv(inp, ("t", "a_tip"), (t, np.sin(t) + 0.01 * np.cos(300.0 * t)))

@@ -42,10 +42,13 @@ MOVE = ("--L", "0.41", "--k", "5.78", "--mass", "0.09")
     (("-m", "flexmove", "plan", *MOVE, "--n", "2", "--out", "setpoints.csv"), False),
     (("-m", "flexmove", "plan", "--L", "0.41", "--beam", "beam.json", "--n", "2",
       "--out", "setpoints.csv"), False),
-    # positive controls: the check sees numpy where a job does array work
-    (("-m", "flexmove", "simulate", *MOVE, "--n", "2"), True),
+    (("-m", "flexmove", "simulate", *MOVE, "--n", "2"), False),
+    (("-m", "flexmove", "simulate", *MOVE, "--n", "2", "--trace-out", "rk4.csv"), False),
+    (("-m", "flexmove", "simulate", *MOVE, "--n", "2.5", "--exploratory"), False),
+    # positive control: the check sees numpy where a job does array work
     (("-m", "flexmove", "filter", "--in", "tip.csv", "--out", "filtered.csv"), True),
-], ids=["import", "help", "sweep", "report", "plan", "plan-beam", "simulate", "filter"])
+], ids=["import", "help", "sweep", "report", "plan", "plan-beam", "simulate",
+        "simulate-trace", "simulate-exploratory", "filter"])
 def test_numpy_loads_only_for_array_work(tmp_path, argv, loads_numpy):
     (tmp_path / "beam.json").write_text(json.dumps(BENCH_BEAM))
     (tmp_path / "tip.csv").write_text("t,a_tip\n" + "".join(f"{i / 1500!r},{i % 7}\n"

@@ -130,6 +130,22 @@ def test_integrate_matches_the_numpy_scalar_loop(params, per_period, x0, v0):
             (t.tobytes(), xs.tobytes(), vs.tobytes())
 
 
+@settings(max_examples=40, deadline=None)
+@given(params=spec_params, exploratory_n=st.floats(1.01, 10.0), strict=st.booleans(),
+       steps_per_move=st.floats(500.0, 3000.0))
+def test_simulate_relative_matches_integrate(params, exploratory_n, strict, steps_per_move):
+    # the float route equals the array route bit for bit, for mistimed moves too and
+    # for steps that do not divide t1
+    L, k, n = params
+    spec = (MotionSpec(L=L, k=k, n=float(n), m=0.1) if strict
+            else MotionSpec(L=L, k=k, n=exploratory_n, m=0.1, exploratory=True))
+    step = spec.t1 / steps_per_move
+    trace = simulate_relative(spec, step)
+    reference = integrate(spec.acceleration, spec.k, spec.t1, step)
+    for name in ("t", "x", "v"):
+        assert getattr(trace, name).tobytes() == getattr(reference, name).tobytes(), name
+
+
 def test_default_integration_matches_the_numpy_scalar_loop(bench_spec):
     # the simulate default: 20 000 steps
     trace = simulate_relative(bench_spec)
@@ -153,7 +169,8 @@ class TestIntegrator:
         k, x0 = 5.78, 0.02
         period = TWO_PI / k
         trace = integrate(lambda t: 0.0, k, period, period / 2000, initial_state=(x0, 0.0))
-        assert np.max(np.abs(trace.x - x0 * np.cos(k * trace.t))) <= 1e-8 * x0
+        t, x = np.asarray(trace.t), np.asarray(trace.x)
+        assert np.max(np.abs(x - x0 * np.cos(k * t))) <= 1e-8 * x0
 
     def test_grid_lands_on_t_end(self, bench_spec):
         trace = simulate_relative(bench_spec)
@@ -177,7 +194,7 @@ class TestIntegrator:
         spec = MotionSpec(L=L, k=k, n=float(n), m=0.1)
         trace = simulate_relative(spec)
         x_closed = relative_motion(spec, trace.t)[0]
-        assert np.max(np.abs(trace.x - x_closed)) <= 1e-8
+        assert np.max(np.abs(np.asarray(trace.x) - x_closed)) <= 1e-8
 
     @settings(max_examples=12, deadline=None)
     @given(params=spec_params)
@@ -198,7 +215,7 @@ class TestIntegrator:
                           bench_spec.t1, bench_spec.t1 / 20_000)
         x_closed = relative_motion(bench_spec, trace.t)[0]
         # linear interpolation of the control limits the agreement, not RK4
-        assert np.max(np.abs(trace.x - x_closed)) <= 1e-6
+        assert np.max(np.abs(np.asarray(trace.x) - x_closed)) <= 1e-6
 
 
 class TestResidualReport:
@@ -207,6 +224,16 @@ class TestResidualReport:
         assert report.quiescent
         assert report.amplitude <= 1e-6 * bench_spec.L
         assert report.tolerance == pytest.approx(1e-6 * 0.41)
+
+    @pytest.mark.parametrize("steps", [997, 1000, 1001.5, 2500.6])
+    def test_trace_beyond_the_move_reads_the_row_nearest_t1(self, bench_spec, steps):
+        # the row np.argmin picks on a grid that runs on to 1.5 t1, with or
+        # without a row at t1
+        trace = integrate(lambda t: 0.0, bench_spec.k, 1.5 * bench_spec.t1,
+                          bench_spec.t1 / steps, initial_state=(0.01, 0.0))
+        idx = int(np.argmin(np.abs(np.asarray(trace.t) - bench_spec.t1)))
+        report = residual_report(bench_spec, trace)
+        assert (report.x_end, report.v_end) == (trace.x[idx], trace.v[idx])
 
     def test_closed_form_report_is_exact(self, bench_spec):
         report = residual_report(bench_spec)
@@ -407,6 +434,13 @@ class TestTipTrace:
             tip_trace(bench_spec, 500.0, kind="velocity")
 
 
+def test_relative_trace_beyond_the_move_rejected(bench_spec, tmp_path):
+    # the carrier law holds on [0, t1] only
+    trace = integrate(lambda t: 0.0, bench_spec.k, 1.5 * bench_spec.t1, bench_spec.t1 / 1000)
+    with pytest.raises(ValueError, match="outside the motion interval"):
+        write_relative_trace(tmp_path / "relative.csv", bench_spec, trace)
+
+
 def test_relative_trace_csv(bench_spec, tmp_path):
     path = tmp_path / "relative.csv"
     trace = simulate_relative(bench_spec, step=bench_spec.t1 / 2000)
@@ -416,4 +450,4 @@ def test_relative_trace_csv(bench_spec, tmp_path):
     assert len(t) == len(trace)
     # a_r column reproduces the oscillator equation at the grid points
     u = bench_spec.acceleration(trace.t)
-    assert np.allclose(a, -bench_spec.k**2 * trace.x - u, rtol=1e-10, atol=1e-12)
+    assert np.allclose(a, -bench_spec.k**2 * np.asarray(trace.x) - u, rtol=1e-10, atol=1e-12)

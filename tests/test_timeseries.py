@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from flexmove import TimeSeries, load_trace, save_trace
 from flexmove import timeseries
@@ -144,6 +145,24 @@ COLUMN_TYPES = [list, tuple, np.array, lambda values: array("d", values),
                 lambda values: np.array(values)[::-1], lambda values: np.array(values * 2)[::2]]
 
 
+def assert_written_as_savetxt(tmp_path_factory, columns, reference_columns=None):
+    """write_csv of columns gives the bytes of np.savetxt of reference_columns
+    (by default the columns themselves)."""
+    header = [f"c{i}" for i in range(len(columns))]
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    write_csv(path, header, columns)
+    reference = path.with_name("reference.csv")
+    with open(reference, "w", encoding="utf-8", newline="") as fh:
+        np.savetxt(fh, np.column_stack(reference_columns or columns), fmt="%.12g",
+                   delimiter=",", header=",".join(header), comments="")
+    assert path.read_bytes() == reference.read_bytes()
+
+
+def columns_of(rows: int, *types):
+    """Columns of `rows` distinct floats, one per column type."""
+    return [make([i + j / 8 for i in range(rows)]) for j, make in enumerate(types)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(columns=st.integers(1, 4).flatmap(lambda width: st.integers(0, 12).flatmap(
            lambda rows: st.lists(st.tuples(st.one_of(
@@ -151,19 +170,45 @@ COLUMN_TYPES = [list, tuple, np.array, lambda values: array("d", values),
                st.lists(st.integers(-2**62, 2**62), min_size=rows, max_size=rows),
                st.lists(st.booleans(), min_size=rows, max_size=rows)),
                st.sampled_from(COLUMN_TYPES)).map(lambda cells: cells[1](cells[0])),
-               min_size=width, max_size=width))))
-def test_write_csv_matches_savetxt(tmp_path_factory, columns):
+               min_size=width, max_size=width))),
+       block=st.integers(1, 5) | st.just(timeseries._WRITE_ROWS))
+# no row, one row, and one row either side of a whole number of blocks
+@example(columns=columns_of(0, list, np.array), block=4)
+@example(columns=columns_of(1, list, np.array), block=4)
+@example(columns=columns_of(7, tuple, np.array), block=4)
+@example(columns=columns_of(9, tuple, np.array), block=4)
+@example(columns=columns_of(1023, list, np.array, COLUMN_TYPES[3]), block=1024)
+@example(columns=columns_of(1025, list, np.array, COLUMN_TYPES[3]), block=1024)
+def test_write_csv_matches_savetxt(tmp_path_factory, columns, block):
     # the replaced np.savetxt call is the reference, for any column dtype, for
     # columns given as lists or tuples (zipped as they are) and as arrays, array('d')
-    # and reversed or strided views (read through a memoryview)
-    header = [f"c{i}" for i in range(len(columns))]
-    path = tmp_path_factory.mktemp("csv") / "table.csv"
-    write_csv(path, header, columns)
-    reference = path.with_name("reference.csv")
-    with open(reference, "w", encoding="utf-8", newline="") as fh:
-        np.savetxt(fh, np.column_stack(columns), fmt="%.12g", delimiter=",",
-                   header=",".join(header), comments="")
-    assert path.read_bytes() == reference.read_bytes()
+    # and reversed or strided views (read through a memoryview), in any block size
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(timeseries, "_WRITE_ROWS", block)
+        assert_written_as_savetxt(tmp_path_factory, columns)
+
+
+#: dtypes a memoryview cannot read (byte-swapped, half and extended precision)
+#: and some it can
+ARRAY_DTYPES = [">f8", "f2", "g", ">i4", "f4", "i8", "?"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(columns=st.integers(1, 3).flatmap(lambda width: st.integers(0, 12).flatmap(
+           lambda rows: st.lists(st.sampled_from(ARRAY_DTYPES).flatmap(
+               lambda dtype: hnp.arrays(dtype, rows)), min_size=width, max_size=width))))
+def test_write_csv_writes_any_array_dtype_as_float64(tmp_path_factory, columns):
+    with np.errstate(over="ignore"):  # an extended float beyond the float range is inf
+        as_float64 = [column.astype(float) for column in columns]
+    assert_written_as_savetxt(tmp_path_factory, columns, as_float64)
+
+
+def test_save_trace_with_big_endian_stamps(tmp_path):
+    stamps = np.arange(4) / 8.0
+    path = tmp_path / "trace.csv"
+    save_trace(path, TimeSeries(rate=8.0, t0=0.0, values=[1.0, 2.0, 3.0, 4.0],
+                                stamps=stamps.astype(">f8")))
+    assert path.read_text() == "t,value\n0,1\n0.125,2\n0.25,3\n0.375,4\n"
 
 
 def test_write_csv_rejects_columns_of_unequal_length(tmp_path):
