@@ -26,10 +26,14 @@ def _spec_for(L: float, k: float, m: float, n: float) -> MotionSpec:
     return spec
 
 
+def _amplitude(spec: MotionSpec) -> float:
+    x_end, v_end = final_relative_state(spec)
+    return math.hypot(x_end, v_end / spec.k)
+
+
 def residual_amplitude(L: float, k: float, n: float) -> float:
     """Closed-form end-of-move oscillation amplitude; mass independent."""
-    x_end, v_end = final_relative_state(_spec_for(L, k, 1.0, n))
-    return math.hypot(x_end, v_end / k)
+    return _amplitude(_spec_for(L, k, 1.0, n))
 
 
 @dataclass(frozen=True)
@@ -65,9 +69,10 @@ def sweep_n(L: float, k: float, m: float, n_from: float, n_to: float,
             step: float) -> SweepResult:
     """Closed-form residual and energy figure on a uniform grid of multiples.
 
-    Each row's energy is the closed form m * L**2 * p**2 / pi**2 of
-    :func:`energy_figure`.  Rows at integer n >= 2 are flagged quiescent; all
-    grid points must stay above the resonant multiple n = 1.
+    Each row's energy is the spec's ``drive_energy``, the closed form
+    m * L**2 * p**2 / pi**2 of :func:`energy_figure`.  Rows at integer n >= 2
+    are flagged quiescent; all grid points must stay above the resonant
+    multiple n = 1.
     """
     for name, value in (("n_from", n_from), ("n_to", n_to), ("step", step)):
         if not math.isfinite(value):
@@ -83,11 +88,9 @@ def sweep_n(L: float, k: float, m: float, n_from: float, n_to: float,
     for i in range(count):
         n = n_from + i * step
         spec = _spec_for(L, k, m, n)
-        x_end, v_end = final_relative_state(spec)
-        rows.append(SweepRow(
-            n=n, t1=spec.t1, residual=math.hypot(x_end, v_end / k),
-            energy=spec.m * (spec.L * spec.p / math.pi) ** 2,
-            quiescent=spec.guarantees_quiescence))
+        rows.append(SweepRow(n=n, t1=spec.t1, residual=_amplitude(spec),
+                             energy=spec.drive_energy,
+                             quiescent=spec.guarantees_quiescence))
     return SweepResult(L=L, k=k, m=m, rows=tuple(rows))
 
 
@@ -167,16 +170,22 @@ def amplitude_table(masses, beam: BeamSpec, L: float, n: float = 2.0,
     """Residual amplitude per carried mass, matched timing versus mistimed.
 
     Each mass gets its own natural frequency from the beam geometry; the
-    matched column uses the integer multiple n, the mistimed column the
-    non-integer unmatched_n with the same control shape.
+    matched column uses the integer multiple n >= 2, the mistimed column the
+    multiple unmatched_n with the same control shape, which must not count as
+    matched (within INTEGER_N_TOL of an integer >= 2).
     """
     masses = _carried_masses(masses)
     freqs, matched_amps, unmatched_amps = [], [], []
     for m in masses:
         k = BeamSpec(l=beam.l, b=beam.b, h=beam.h, E=beam.E, m_tip=m).frequency
+        matched = MotionSpec(L=L, k=k, n=n, m=m)
+        mistimed = _spec_for(L, k, m, unmatched_n)
+        if mistimed.guarantees_quiescence:
+            raise ValueError(f"unmatched n = {unmatched_n} is a matched multiple; "
+                             "the mistimed column needs a non-integer n")
         freqs.append(k)
-        matched_amps.append(residual_amplitude(L, k, n))
-        unmatched_amps.append(residual_amplitude(L, k, unmatched_n))
+        matched_amps.append(_amplitude(matched))
+        unmatched_amps.append(_amplitude(mistimed))
     return AmplitudeTable(masses=masses, frequencies=tuple(freqs),
                           matched_n=float(n), unmatched_n=float(unmatched_n),
                           matched=tuple(matched_amps), unmatched=tuple(unmatched_amps))

@@ -80,6 +80,17 @@ def timing_residual(n: float) -> tuple[float, float]:
     return -2.0 * math.sin(0.5 * theta) ** 2, math.sin(theta)
 
 
+def _in_float_range(what: str, compute) -> float:
+    """compute(), rejected unless finite: a move whose figure overflows has no answer."""
+    try:
+        value = compute()
+    except ArithmeticError:  # ** raises where * rounds to inf, / raises on a zero p
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"L, k, n and m put {what} outside the float range")
+    return value
+
+
 def _like(t, values) -> float | np.ndarray:
     """Return a scalar for scalar input, an array otherwise."""
     return float(values) if np.ndim(t) == 0 else np.asarray(values)
@@ -130,7 +141,11 @@ class MotionSpec:
         mass enters the action and energy figures.
 
     Derived attributes: ``p`` (forcing angular frequency k/n), ``t1`` (total
-    motion time 2*pi/p) and ``t_c`` (natural period 2*pi/k).
+    motion time 2*pi/p), ``t_c`` (natural period 2*pi/k), and the closed-form
+    figures ``peak_acceleration`` (control amplitude L*p**2/(2*pi) [m/s^2]),
+    ``action`` (m*L**2*p*(pi/3 + 1/(4*pi)) [J*s]) and ``drive_energy``
+    (m*(L*p/pi)**2 [J]).  A spec whose t1, figures or k*k leave the float range
+    is rejected.
     """
 
     L: float
@@ -141,6 +156,9 @@ class MotionSpec:
     p: float = field(init=False, repr=False)
     t1: float = field(init=False, repr=False)
     t_c: float = field(init=False, repr=False)
+    peak_acceleration: float = field(init=False, repr=False)
+    action: float = field(init=False, repr=False)
+    drive_energy: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("L", "k", "n", "m"):
@@ -159,8 +177,17 @@ class MotionSpec:
                 raise ValueError(
                     "period multiple n must be at least 2; n = 1 is the resonant multiple")
         object.__setattr__(self, "p", self.k / self.n)
-        object.__setattr__(self, "t1", TWO_PI / self.p)
+        object.__setattr__(self, "t1", _in_float_range("the motion time t1",
+                                                       lambda: TWO_PI / self.p))
         object.__setattr__(self, "t_c", TWO_PI / self.k)
+        object.__setattr__(self, "peak_acceleration", _in_float_range(
+            "the peak acceleration", lambda: self.L * self.p**2 / TWO_PI))
+        object.__setattr__(self, "action", _in_float_range(
+            "the action",
+            lambda: self.m * self.L**2 * self.p * (math.pi / 3.0 + 1.0 / (4.0 * math.pi))))
+        object.__setattr__(self, "drive_energy", _in_float_range(
+            "the drive energy", lambda: self.m * (self.L * self.p / math.pi) ** 2))
+        _in_float_range("k*k", lambda: self.k * self.k)  # the stiffness term of the RK4 loop
 
     @classmethod
     def from_beam(cls, beam, L: float, n: float, exploratory: bool = False) -> "MotionSpec":
@@ -171,11 +198,6 @@ class MotionSpec:
     def guarantees_quiescence(self) -> bool:
         """True for strict specs (integer n >= 2); exploratory moves never qualify."""
         return not self.exploratory
-
-    @property
-    def peak_acceleration(self) -> float:
-        """Control amplitude a = L * p**2 / (2*pi) [m/s^2]."""
-        return self.L * self.p**2 / TWO_PI
 
     def _times(self, t) -> np.ndarray:
         arr = np.asarray(t, dtype=float)

@@ -84,33 +84,35 @@ class OscillatorTrace:
         return float(self.x[-1]), float(self.v[-1])
 
 
-def _forcing_values(forcing, times: np.ndarray) -> np.ndarray:
-    """Evaluate an array-aware forcing on a grid; a scalar result is constant forcing."""
-    return np.broadcast_to(np.asarray(forcing(times), dtype=float), times.shape)
+def integrate(forcing, k: float, t_end: float, step: float,
+              initial_state: tuple[float, float] = (0.0, 0.0)) -> OscillatorTrace:
+    """Fixed-step classical RK4 trajectory of the driven oscillator.
 
-
-def _step_count(k: float, t_end: float, step: float) -> int:
-    """Number of RK4 steps across [0, t_end], by the rules :func:`integrate` states."""
+    The requested step is shrunk, if needed, so that a whole number of steps
+    lands exactly on t_end.  Steps coarser than a fiftieth of the oscillation
+    period are rejected.  ``forcing`` maps one time to one forcing value; it is
+    called on the Python-float grid nodes and step midpoints in time order, and
+    nothing holds the forcing of a whole run.
+    """
+    k, t_end, step = map(positive_finite, ("k", "t_end", "integration step"), (k, t_end, step))
     coarsest = TWO_PI / k / MIN_STEPS_PER_PERIOD
     if step > coarsest:
         raise ValueError(
             f"integration step too coarse: need 0 < step <= {coarsest:.6g} s "
             f"({MIN_STEPS_PER_PERIOD} steps per oscillation period)")
     check_grid_size(t_end / step + 1.0, f"RK4 trajectory with step {step:g} s")
-    return max(1, math.ceil(t_end / step - 1e-9))
-
-
-def _rk4(nodes, mids, k: float, h: float, x: float, v: float) -> tuple[array, array]:
-    """Classical RK4 states of x'' + k**2 * x = -u from (x, v), one step of h per
-    midpoint forcing value in ``mids``; ``nodes`` holds the forcing at the step
-    ends, one value more.  Each sequence is iterated once, as Python floats."""
+    n_steps = max(1, math.ceil(t_end / step - 1e-9))
+    times = array("d", (t_end * i / n_steps for i in range(n_steps + 1)))
+    h = t_end / n_steps
     # -ksq * x and 0.5 * h * k1v multiply left to right, so their first factors
     # can be formed once without changing a bit
     nksq, half = -k * k, 0.5 * h
+    x, v = float(initial_state[0]), float(initial_state[1])
     xs, vs = array("d", [x]), array("d", [v])
-    nodes = iter(nodes)
-    u0 = next(nodes)
-    for um, u1 in zip(mids, nodes):
+    u0 = forcing(times[0])
+    for a, b in zip(times, islice(times, 1, None)):
+        um = forcing(0.5 * (a + b))
+        u1 = forcing(b)
         k1x = v
         k1v = nksq * x - u0
         k2x = v + half * k1v
@@ -124,47 +126,15 @@ def _rk4(nodes, mids, k: float, h: float, x: float, v: float) -> tuple[array, ar
         xs.append(x)
         vs.append(v)
         u0 = u1
-    return xs, vs
-
-
-def integrate(forcing, k: float, t_end: float, step: float,
-              initial_state: tuple[float, float] = (0.0, 0.0)) -> OscillatorTrace:
-    """Fixed-step classical RK4 trajectory of the driven oscillator.
-
-    The requested step is shrunk, if needed, so that a whole number of steps
-    lands exactly on t_end.  Steps coarser than a fiftieth of the oscillation
-    period are rejected.  ``forcing`` maps an array of times to an array of
-    forcing values, or to one constant.
-    """
-    k, t_end, step = map(positive_finite, ("k", "t_end", "integration step"), (k, t_end, step))
-    n_steps = _step_count(k, t_end, step)
-    times = t_end * np.arange(n_steps + 1) / n_steps
-    mids = 0.5 * (times[:-1] + times[1:])
-    # memoryviews yield the arrays as Python floats, which do the IEEE arithmetic
-    # of numpy scalars in a third of the time
-    xs, vs = _rk4(memoryview(_forcing_values(forcing, times)),
-                  memoryview(_forcing_values(forcing, mids)), k, t_end / n_steps,
-                  float(initial_state[0]), float(initial_state[1]))
-    return OscillatorTrace(t=array("d", times.tobytes()), x=xs, v=vs)
+    return OscillatorTrace(t=times, x=xs, v=vs)
 
 
 def simulate_relative(spec: MotionSpec, step: float | None = None) -> OscillatorTrace:
-    """RK4 trace of the relative motion over the full move of a spec.
-
-    Bit for bit ``integrate(spec.acceleration, spec.k, spec.t1, step)``: the grid
-    and the forcing come from the same operations in the same order, on Python
-    floats and math.sin, streamed so that no whole-run list is built.
-    """
-    if step is None:
-        step = spec.t1 / DEFAULT_RK4_STEPS
-    t_end = spec.t1
-    n_steps = _step_count(spec.k, t_end, positive_finite("integration step", step))
-    times = array("d", (t_end * i / n_steps for i in range(n_steps + 1)))
+    """RK4 trace of the relative motion over the full move of a spec, default
+    DEFAULT_RK4_STEPS steps, with the forcing evaluated by math.sin on floats."""
     p, law = spec.p, spec._laws(math)[2]
-    nodes = (law(p * t) for t in times)
-    mids = (law(p * (0.5 * (a + b))) for a, b in zip(times, islice(times, 1, None)))
-    xs, vs = _rk4(nodes, mids, spec.k, t_end / n_steps, 0.0, 0.0)
-    return OscillatorTrace(t=times, x=xs, v=vs)
+    return integrate(lambda t: law(p * t), spec.k, spec.t1,
+                     spec.t1 / DEFAULT_RK4_STEPS if step is None else step)
 
 
 @dataclass(frozen=True)
@@ -204,8 +174,8 @@ def residual_report(spec: MotionSpec, trace: OscillatorTrace | None = None) -> R
     With a trace, the endpoint state comes from the integrator; otherwise from
     the closed form.  A report is quiescent only when the spec guarantees it
     (integer period multiple) and the residual amplitude is within QUIESCENCE_TOL_FACTOR * L.
-    The action is the closed form m*L**2*p*(pi/3 + 1/(4*pi)) of
-    :func:`action_value` over the executed motion law.
+    The action is ``spec.action``, the closed form m*L**2*p*(pi/3 + 1/(4*pi))
+    of :func:`action_value` over the executed motion law.
     """
     tolerance = QUIESCENCE_TOL_FACTOR * spec.L
     if trace is None:
@@ -219,8 +189,7 @@ def residual_report(spec: MotionSpec, trace: OscillatorTrace | None = None) -> R
     return ResidualReport(
         spec=spec, x_end=x_end, v_end=v_end, amplitude=amplitude,
         quiescent=spec.guarantees_quiescence and amplitude <= tolerance,
-        action=spec.m * spec.L**2 * spec.p * (math.pi / 3.0 + 1.0 / (4.0 * math.pi)),
-        tolerance=tolerance)
+        action=spec.action, tolerance=tolerance)
 
 
 def tip_trace(spec: MotionSpec, rate: float, kind: str = "acceleration") -> TimeSeries:
@@ -245,9 +214,9 @@ def action_value(spec: MotionSpec, position_fn=None, velocity_fn=None,
     The integrand is m*v**2/2 - m*p**2*s**2/2 + (m*L*p**3/(2*pi)) * t * s,
     with the effective stiffness recovered as m*k**2 so the softened term
     becomes m*p**2.  Defaults to the executed motion law, whose action has
-    the closed form m*L**2*p*(pi/3 + 1/(4*pi)) that :func:`residual_report`
-    uses; this composite-Simpson route is its oracle.  Pass array-aware
-    callables to evaluate perturbed trajectories.
+    the closed form ``spec.action``, m*L**2*p*(pi/3 + 1/(4*pi)), that
+    :func:`residual_report` reports; this composite-Simpson route is its
+    oracle.  Pass array-aware callables to evaluate perturbed trajectories.
     """
     s_fn = position_fn if position_fn is not None else spec.position
     v_fn = velocity_fn if velocity_fn is not None else spec.velocity

@@ -199,6 +199,8 @@ def load_trace(path) -> TimeSeries:
     """Read a two-column `t,<value>` CSV into a TimeSeries."""
     header, (t, values) = read_numeric_csv(path, n_columns=2)
     rate = uniform_rate(t, context=f"{path}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{path}: value column must hold finite numbers")
     return TimeSeries(rate=rate, t0=float(t[0]), values=values, label=header[1], stamps=t)
 
 

@@ -193,3 +193,20 @@ class TestAmplitudeTable:
             amplitude_table((), bench_beam, L=0.41)
         with pytest.raises(ValueError, match="positive"):
             amplitude_table((0.09, -0.1), bench_beam, L=0.41)
+
+    @pytest.mark.parametrize("n", [2.5, 2.0 + 1e-12, 1.5])
+    def test_matched_multiple_must_be_an_integer(self, bench_beam, n):
+        with pytest.raises(ValueError, match="period multiple n = .* is not an integer"):
+            amplitude_table(self.MASSES, bench_beam, L=0.41, n=n, unmatched_n=2.5)
+
+    @pytest.mark.parametrize("unmatched_n", [2.0, 3.0, 3.0 - 1e-12, 7.0 + 1e-12])
+    def test_mistimed_multiple_must_not_count_as_matched(self, bench_beam, unmatched_n):
+        with pytest.raises(ValueError, match="is a matched multiple"):
+            amplitude_table(self.MASSES, bench_beam, L=0.41, n=2.0, unmatched_n=unmatched_n)
+
+    @pytest.mark.parametrize("unmatched_n", [1.5, 2.0 + 1e-6, 3.2])
+    def test_mistimed_multiples_near_but_off_an_integer_are_accepted(self, bench_beam,
+                                                                     unmatched_n):
+        table = amplitude_table(self.MASSES, bench_beam, L=0.41, n=3.0, unmatched_n=unmatched_n)
+        assert all(amp > 0.0 for amp in table.unmatched)
+        assert table.matched == (0.0,) * len(self.MASSES)

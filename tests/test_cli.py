@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -313,6 +314,25 @@ class TestReport:
         assert stderr == f"error: carried mass must be a positive finite number, got {bad!r}\n"
 
 
+    @pytest.mark.parametrize("flags,message", [
+        (("--n", "2.5", "--unmatched-n", "3"),
+         "period multiple n = 2.5 is not an integer; pass exploratory=True to study "
+         "mistimed moves"),
+        (("--unmatched-n", "3"), "unmatched n = 3.0 is a matched multiple; the mistimed "
+         "column needs a non-integer n"),
+        (("--unmatched-n", "2.0000000000001"), "unmatched n = 2.0000000000001 is a matched "
+         "multiple; the mistimed column needs a non-integer n"),
+    ], ids=["matched-n", "unmatched-integer", "unmatched-within-tolerance"])
+    def test_columns_keep_their_labels(self, capsys, beam_json, tmp_path, flags, message):
+        # the table printed n=2.5 as matched and n=3 as mistimed, with exit 0
+        out = tmp_path / "table.csv"
+        code, stdout, stderr = run(capsys, "report", "--beam", beam_json,
+                                   "--masses", "0.02,0.09", "--L", "0.41", *flags,
+                                   "--out", str(out))
+        assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
+        assert not out.exists()
+
+
 class TestConfigFile:
     def test_config_supplies_values(self, tmp_path, capsys):
         config = tmp_path / "run.json"
@@ -430,6 +450,38 @@ class TestMalformedInput:
                               "--L", "0.41", flag, "inf")
         assert one_error_line(code, stderr), stderr
         assert "n must be a positive finite number, got inf" in stderr
+
+    @pytest.mark.parametrize("argv,figure", [
+        (("simulate", "--L", "1e200", "--k", "5.78", "--mass", "0.09", "--n", "2"), "the action"),
+        (("sweep", "--L", "1e200", "--k", "5.78", "--mass", "0.09", "--n-from", "2",
+          "--n-to", "3", "--step", "0.5", "--out", "s.csv"), "the action"),
+        (("simulate", "--L", "0.41", "--k", "1e300", "--mass", "0.09", "--n", "2"),
+         "the peak acceleration"),
+        (("simulate", "--L", "1e-300", "--k", "1e155", "--n", "400", "--mass", "1"), "k*k"),
+        (("simulate", "--L", "1e-300", "--k", "1e155", "--n", "400", "--mass", "1",
+          "--trace-out", "t.csv"), "k*k"),
+        (("sweep", "--L", "0.41", "--k", "1e-308", "--mass", "0.09", "--n-from", "2",
+          "--n-to", "3", "--step", "0.5", "--out", "s.csv"), "the motion time t1"),
+    ], ids=["simulate-L", "sweep-L", "simulate-k", "simulate-k*k", "simulate-k*k-trace",
+            "sweep-t1"])
+    def test_a_move_whose_figures_overflow(self, tmp_path, capsys, monkeypatch, argv, figure):
+        # these raised OverflowError, printed "amplitude": NaN, or wrote t1 = inf
+        monkeypatch.chdir(tmp_path)
+        code, stdout, stderr = run(capsys, *argv)
+        assert stderr == f"error: L, k, n and m put {figure} outside the float range\n"
+        assert (code, stdout, list(tmp_path.iterdir())) == (2, "", [])
+
+    @pytest.mark.parametrize("cell", [math.nan, math.inf, -math.inf])
+    def test_filter_rejects_non_finite_values(self, tmp_path, capsys, cell):
+        # one NaN sample used to turn the whole filtered trace into NaN, with exit 0
+        inp = tmp_path / "trace.csv"
+        values = np.sin(np.arange(400) / 50.0)
+        values[150] = cell
+        write_csv(inp, ("t", "a_tip"), (np.arange(400) / 1500.0, values))
+        out = tmp_path / "x.csv"
+        code, _, stderr = run(capsys, "filter", "--in", str(inp), "--out", str(out))
+        assert stderr == f"error: {inp}: value column must hold finite numbers\n"
+        assert code == 2 and not out.exists()
 
     def test_oversized_csv_field(self, tmp_path, capsys):
         inp = tmp_path / "trace.csv"

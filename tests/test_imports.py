@@ -45,10 +45,11 @@ MOVE = ("--L", "0.41", "--k", "5.78", "--mass", "0.09")
     (("-m", "flexmove", "simulate", *MOVE, "--n", "2"), False),
     (("-m", "flexmove", "simulate", *MOVE, "--n", "2", "--trace-out", "rk4.csv"), False),
     (("-m", "flexmove", "simulate", *MOVE, "--n", "2.5", "--exploratory"), False),
+    (("-c", "import flexmove; flexmove.integrate(lambda t: 0.0, 5.78, 1.0, 1e-3)"), False),
     # positive control: the check sees numpy where a job does array work
     (("-m", "flexmove", "filter", "--in", "tip.csv", "--out", "filtered.csv"), True),
 ], ids=["import", "help", "sweep", "report", "plan", "plan-beam", "simulate",
-        "simulate-trace", "simulate-exploratory", "filter"])
+        "simulate-trace", "simulate-exploratory", "integrate", "filter"])
 def test_numpy_loads_only_for_array_work(tmp_path, argv, loads_numpy):
     (tmp_path / "beam.json").write_text(json.dumps(BENCH_BEAM))
     (tmp_path / "tip.csv").write_text("t,a_tip\n" + "".join(f"{i / 1500!r},{i % 7}\n"

@@ -93,6 +93,25 @@ class TestSpecConstruction:
         with pytest.raises(ValueError, match=field):
             MotionSpec(**params)
 
+    def test_closed_form_figures(self, bench_spec):
+        L, p, m = bench_spec.L, bench_spec.p, bench_spec.m
+        assert bench_spec.peak_acceleration == L * p**2 / TWO_PI
+        assert bench_spec.action == m * L**2 * p * (math.pi / 3.0 + 1.0 / (4.0 * math.pi))
+        assert bench_spec.drive_energy == m * (L * p / math.pi) ** 2
+
+    @pytest.mark.parametrize("params,figure", [
+        (dict(BENCH, L=1e200), "the action"),
+        (dict(BENCH, m=1e307, L=10.0), "the action"),
+        (dict(BENCH, k=1e300), "the peak acceleration"),
+        (dict(L=1e-300, k=1e155, n=400.0, m=1.0), "k*k"),
+        (dict(BENCH, k=1e-308), "the motion time t1"),
+        (dict(BENCH, k=5e-324, n=4.0), "the motion time t1"),
+    ], ids=["L**2", "m*L**2", "p**2", "k*k", "t1", "p-underflow"])
+    def test_figures_outside_the_float_range_rejected(self, params, figure):
+        # ** raised OverflowError and * gave inf, which the RK4 loop turned into NaN
+        message = f"L, k, n and m put {figure} outside the float range"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MotionSpec(**params)
 
     def test_numpy_integers_accepted(self):
         spec = MotionSpec(L=np.int64(1), k=np.int64(6), n=np.int64(2), m=np.int64(1))

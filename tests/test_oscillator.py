@@ -119,7 +119,8 @@ def numpy_scalar_integrate(forcing, k, t_end, step, initial_state=(0.0, 0.0)):
 @given(params=spec_params, per_period=st.integers(51, 90),
        x0=st.floats(-1.0, 1.0), v0=st.floats(-1.0, 1.0))
 def test_integrate_matches_the_numpy_scalar_loop(params, per_period, x0, v0):
-    # bit for bit, on array and on constant (zero-stride, broadcast) forcing
+    # bit for bit, on an array law and on a constant: integrate calls the forcing
+    # point by point, the reference once per grid
     L, k, n = params
     spec = MotionSpec(L=L, k=k, n=float(n), m=0.1)
     steps = per_period * n
@@ -134,8 +135,9 @@ def test_integrate_matches_the_numpy_scalar_loop(params, per_period, x0, v0):
 @given(params=spec_params, exploratory_n=st.floats(1.01, 10.0), strict=st.booleans(),
        steps_per_move=st.floats(500.0, 3000.0))
 def test_simulate_relative_matches_integrate(params, exploratory_n, strict, steps_per_move):
-    # the float route equals the array route bit for bit, for mistimed moves too and
-    # for steps that do not divide t1
+    # through one integrator, the math law of simulate_relative equals the numpy law of
+    # spec.acceleration bit for bit, for mistimed moves too and for steps that do not
+    # divide t1
     L, k, n = params
     spec = (MotionSpec(L=L, k=k, n=float(n), m=0.1) if strict
             else MotionSpec(L=L, k=k, n=exploratory_n, m=0.1, exploratory=True))
@@ -152,6 +154,15 @@ def test_default_integration_matches_the_numpy_scalar_loop(bench_spec):
     _, xs, vs = numpy_scalar_integrate(bench_spec.acceleration, bench_spec.k, bench_spec.t1,
                                        bench_spec.t1 / 20_000)
     assert trace.x.tobytes() == xs.tobytes() and trace.v.tobytes() == vs.tobytes()
+
+
+def test_integrate_takes_a_scalar_only_forcing():
+    # math.sin maps one float and no array; x = -(sin t - sin(k t)/k)/(k**2 - 1)
+    k = 5.78
+    trace = integrate(lambda t: math.sin(t), k, 2.0, 1e-3)
+    exact = [-(math.sin(t) - math.sin(k * t) / k) / (k * k - 1.0) for t in trace.t]
+    assert len(trace) == 2001
+    assert max(abs(x - e) for x, e in zip(trace.x, exact)) <= 1e-11
 
 
 class TestIntegrator:
