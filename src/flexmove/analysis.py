@@ -4,9 +4,10 @@ and the matched-versus-mistimed amplitude table across carried masses."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._numpy import np
+from ._record import Record
 from .beam import BeamSpec, positive_finite
 from .motion import (DEFAULT_QUAD_INTERVALS, MotionSpec, check_grid_size, simpson,
                      simpson_grid)
@@ -36,8 +37,7 @@ def residual_amplitude(L: float, k: float, n: float) -> float:
     return _amplitude(_spec_for(L, k, 1.0, n))
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     n: float
     t1: float
     residual: float
@@ -45,14 +45,13 @@ class SweepRow:
     quiescent: bool
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(Record):
     """Residual amplitude and drive cost over a grid of period multiples."""
 
-    L: float
-    k: float
-    m: float
-    rows: tuple[SweepRow, ...]
+    _fields = ("L", "k", "m", "rows")
+
+    def __init__(self, L: float, k: float, m: float, rows: tuple[SweepRow, ...]) -> None:
+        self._set(L=L, k=k, m=m, rows=rows)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -122,8 +121,7 @@ TABLE_CAPTION = ("noise-free simulation; matched moves end quiescent by construc
                  "Bench measurements (sensor noise, drive ripple) are not reproduced here.")
 
 
-@dataclass(frozen=True)
-class AmplitudeTable:
+class AmplitudeTable(NamedTuple):
     """Matched versus mistimed residual amplitudes across carried masses."""
 
     masses: tuple[float, ...]

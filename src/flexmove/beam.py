@@ -11,7 +11,8 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+
+from ._record import Record
 
 
 def positive_finite(name: str, value) -> float:
@@ -26,21 +27,18 @@ def positive_finite(name: str, value) -> float:
     raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
 
-@dataclass(frozen=True)
-class BeamSpec:
-    """Cantilever geometry, material and tip load, all SI."""
+class BeamSpec(Record):
+    """Cantilever geometry, material and tip load, all SI: free length l [m],
+    width b [m], thickness h [m] (bending happens about this thin axis), Young's
+    modulus E [Pa] and the point mass m_tip at the free end [kg]."""
 
-    l: float      # free length [m]
-    b: float      # width [m]
-    h: float      # thickness [m]; bending happens about this thin axis
-    E: float      # Young's modulus [Pa]
-    m_tip: float  # point mass at the free end [kg]
+    _fields = ("l", "b", "h", "E", "m_tip")
 
-    def __post_init__(self) -> None:
-        for name in ("l", "b", "h", "E", "m_tip"):
-            object.__setattr__(self, name, positive_finite(name, getattr(self, name)))
-        if self.h > self.b:
+    def __init__(self, l: float, b: float, h: float, E: float, m_tip: float) -> None:
+        l, b, h, E, m_tip = map(positive_finite, self._fields, (l, b, h, E, m_tip))
+        if h > b:
             raise ValueError("thickness h must not exceed width b for a thin strip")
+        self._set(l=l, b=b, h=h, E=E, m_tip=m_tip)
         try:
             self.frequency
         except ArithmeticError:  # l**3 or h**3 overflows, or l**3 underflows to zero

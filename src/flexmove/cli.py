@@ -89,9 +89,19 @@ def _payload(args) -> tuple[float, float]:
     return args.k, args.mass
 
 
+def _naming_flag(flag: str, build, *args, **kwargs):
+    """build(*args, **kwargs), where MotionSpec's advice to pass exploratory=True
+    names the subcommand's own flag instead."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(str(exc).replace("pass exploratory=True", f"pass {flag}")) from None
+
+
 def _resolve_spec(args) -> MotionSpec:
     k, m = _payload(args)
-    return MotionSpec(L=args.L, k=k, n=args.n, m=m, exploratory=args.exploratory)
+    return _naming_flag("--exploratory", MotionSpec, L=args.L, k=k, n=args.n, m=m,
+                        exploratory=args.exploratory)
 
 
 def _cmd_plan(args) -> int:
@@ -131,8 +141,9 @@ def _cmd_filter(args) -> int:
 
 def _cmd_report(args) -> int:
     masses = _carried_masses(args.masses)  # load_beam would name a bad first mass m_tip
-    table = amplitude_table(masses, load_beam(args.beam, tip_mass=masses[0]),
-                            L=args.L, n=args.n, unmatched_n=args.unmatched_n)
+    table = _naming_flag("--unmatched-n", amplitude_table, masses,
+                         load_beam(args.beam, tip_mass=masses[0]),
+                         L=args.L, n=args.n, unmatched_n=args.unmatched_n)
     if args.out is not None:
         table.write_csv(args.out)
     print(table.to_text())

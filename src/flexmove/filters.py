@@ -10,9 +10,10 @@ phase shift: waveform features stay where they happened.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._numpy import np
+from ._record import Record
 from .beam import positive_finite
 from .timeseries import TimeSeries
 
@@ -22,8 +23,7 @@ ALLOWED_ORDERS = (2, 4, 6, 8)
 PAD_FACTOR = 3
 
 
-@dataclass(frozen=True)
-class Biquad:
+class Biquad(NamedTuple):
     """One second-order section, denominator normalised to a0 = 1."""
 
     b0: float
@@ -46,21 +46,19 @@ def _check_parameters(order: int, cutoff_hz: float, rate_hz: float) -> None:
             f"{0.5 * rate_hz:g} Hz, got {cutoff_hz:g} Hz")
 
 
-@dataclass(frozen=True)
-class FilterDesign:
+class FilterDesign(Record):
     """Low-pass design as cascaded biquads, tied to one sample rate."""
 
-    order: int
-    cutoff_hz: float
-    rate_hz: float
-    sections: tuple[Biquad, ...]
+    _fields = ("order", "cutoff_hz", "rate_hz", "sections")
 
-    def __post_init__(self) -> None:
-        _check_parameters(self.order, self.cutoff_hz, self.rate_hz)
-        if len(self.sections) != self.order // 2:
+    def __init__(self, order: int, cutoff_hz: float, rate_hz: float,
+                 sections: tuple[Biquad, ...]) -> None:
+        _check_parameters(order, cutoff_hz, rate_hz)
+        if len(sections) != order // 2:
             raise ValueError("cascade must hold order/2 sections")
-        if not all(sec.is_stable() for sec in self.sections):
+        if not all(sec.is_stable() for sec in sections):
             raise ValueError("unstable section: poles must lie inside the unit circle")
+        self._set(order=order, cutoff_hz=cutoff_hz, rate_hz=rate_hz, sections=sections)
 
 
 def design_butterworth(order: int, cutoff_hz: float, rate_hz: float) -> FilterDesign:

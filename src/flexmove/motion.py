@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from ._numpy import np
+from ._record import Record
 from .beam import positive_finite
 from .timeseries import write_csv
 
@@ -105,15 +105,14 @@ class MomentIntegrals(NamedTuple):
     sin_moment: float   # integral of a(t) sin(k t) dt; vanishes iff n is an integer
 
 
-@dataclass(frozen=True, eq=False)
-class SetpointTable:
+class SetpointTable(Record):
     """Uniform motion setpoints (time, position, velocity, acceleration) in ``array('d')``."""
 
-    rate: float
-    t: array
-    s: array
-    v: array
-    a: array
+    _fields = ("rate", "t", "s", "v", "a")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # holds arrays: equal only to itself
+
+    def __init__(self, rate: float, t: array, s: array, v: array, a: array) -> None:
+        self._set(rate=rate, t=t, s=s, v=v, a=a)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -122,8 +121,7 @@ class SetpointTable:
         write_csv(path, ("t", "s", "v", "a"), (self.t, self.s, self.v, self.a))
 
 
-@dataclass(frozen=True)
-class MotionSpec:
+class MotionSpec(Record):
     """One point-to-point move of a flexible payload.
 
     Parameters
@@ -148,46 +146,35 @@ class MotionSpec:
     is rejected.
     """
 
-    L: float
-    k: float
-    n: float
-    m: float
-    exploratory: bool = False
-    p: float = field(init=False, repr=False)
-    t1: float = field(init=False, repr=False)
-    t_c: float = field(init=False, repr=False)
-    peak_acceleration: float = field(init=False, repr=False)
-    action: float = field(init=False, repr=False)
-    drive_energy: float = field(init=False, repr=False)
+    _fields = ("L", "k", "n", "m", "exploratory")
 
-    def __post_init__(self) -> None:
-        for name in ("L", "k", "n", "m"):
-            object.__setattr__(self, name, positive_finite(name, getattr(self, name)))
-        if self.exploratory:
-            if self.n <= 1.0:
+    def __init__(self, L: float, k: float, n: float, m: float, exploratory: bool = False) -> None:
+        L, k, n, m = map(positive_finite, ("L", "k", "n", "m"), (L, k, n, m))
+        if exploratory:
+            if n <= 1.0:
                 raise ValueError(
                     "period multiple n must exceed 1 (n = 1 forces the payload at "
                     "resonance, n < 1 above it)")
         else:
-            if not self.n.is_integer():
+            if not n.is_integer():
                 raise ValueError(
-                    f"period multiple n = {self.n} is not an integer; pass "
+                    f"period multiple n = {n} is not an integer; pass "
                     "exploratory=True to study mistimed moves")
-            if self.n < 2.0:
+            if n < 2.0:
                 raise ValueError(
                     "period multiple n must be at least 2; n = 1 is the resonant multiple")
-        object.__setattr__(self, "p", self.k / self.n)
-        object.__setattr__(self, "t1", _in_float_range("the motion time t1",
-                                                       lambda: TWO_PI / self.p))
-        object.__setattr__(self, "t_c", TWO_PI / self.k)
-        object.__setattr__(self, "peak_acceleration", _in_float_range(
-            "the peak acceleration", lambda: self.L * self.p**2 / TWO_PI))
-        object.__setattr__(self, "action", _in_float_range(
-            "the action",
-            lambda: self.m * self.L**2 * self.p * (math.pi / 3.0 + 1.0 / (4.0 * math.pi))))
-        object.__setattr__(self, "drive_energy", _in_float_range(
-            "the drive energy", lambda: self.m * (self.L * self.p / math.pi) ** 2))
-        _in_float_range("k*k", lambda: self.k * self.k)  # the stiffness term of the RK4 loop
+        p = k / n
+        self._set(
+            L=L, k=k, n=n, m=m, exploratory=exploratory, p=p,
+            t1=_in_float_range("the motion time t1", lambda: TWO_PI / p),
+            t_c=TWO_PI / k,
+            peak_acceleration=_in_float_range("the peak acceleration",
+                                              lambda: L * p**2 / TWO_PI),
+            action=_in_float_range(
+                "the action", lambda: m * L**2 * p * (math.pi / 3.0 + 1.0 / (4.0 * math.pi))),
+            drive_energy=_in_float_range("the drive energy",
+                                         lambda: m * (L * p / math.pi) ** 2))
+        _in_float_range("k*k", lambda: k * k)  # the stiffness term of the RK4 loop
 
     @classmethod
     def from_beam(cls, beam, L: float, n: float, exploratory: bool = False) -> "MotionSpec":

@@ -16,10 +16,11 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from ._numpy import np
+from ._record import Record
 from .beam import positive_finite
 from .motion import (DEFAULT_QUAD_INTERVALS, TWO_PI, MotionSpec, _like, check_grid_size,
                      simpson, simpson_grid, timing_residual)
@@ -68,13 +69,14 @@ def final_relative_state(spec: MotionSpec) -> tuple[float, float]:
     return gain * (spec.p / spec.k) * sin_term, gain * spec.p * cos_term
 
 
-@dataclass(frozen=True, eq=False)
-class OscillatorTrace:
+class OscillatorTrace(Record):
     """Oscillator states on a uniform time grid, in ``array('d')``."""
 
-    t: array
-    x: array
-    v: array
+    _fields = ("t", "x", "v")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # holds arrays: equal only to itself
+
+    def __init__(self, t: array, x: array, v: array) -> None:
+        self._set(t=t, x=x, v=v)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -137,8 +139,7 @@ def simulate_relative(spec: MotionSpec, step: float | None = None) -> Oscillator
                      spec.t1 / DEFAULT_RK4_STEPS if step is None else step)
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     """End-of-move quiescence summary for one motion spec."""
 
     spec: MotionSpec
@@ -225,7 +226,7 @@ def action_value(spec: MotionSpec, position_fn=None, velocity_fn=None,
     grid = simpson_grid(spec.t1, step)
     s = np.asarray(s_fn(grid), dtype=float)
     v = np.asarray(v_fn(grid), dtype=float)
-    drive = spec.m * spec.L * spec.p**3 / TWO_PI
+    drive = spec.m * spec.peak_acceleration * spec.p  # m*L*p**3/(2*pi), where p**3 may overflow
     integrand = 0.5 * spec.m * v * v - 0.5 * spec.m * spec.p**2 * s * s + drive * grid * s
     return simpson(integrand, grid)
 
@@ -241,7 +242,7 @@ def euler_lagrange_residual(spec: MotionSpec, t, position_fn=None, accel_fn=None
     arr = np.asarray(t, dtype=float)
     res = (np.asarray(a_fn(arr), dtype=float)
            + spec.p**2 * np.asarray(s_fn(arr), dtype=float)
-           - spec.L * spec.p**3 / TWO_PI * arr)
+           - spec.peak_acceleration * spec.p * arr)
     return _like(t, res)
 
 

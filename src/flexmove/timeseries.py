@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import csv
 from array import array
-from dataclasses import dataclass, field
 from itertools import chain, islice
 
 from ._numpy import np
+from ._record import Record
 from .beam import positive_finite
 
 #: significant digits written to CSV.  Not a lossless float round trip: a
@@ -27,8 +27,7 @@ def fmt(x: float) -> str:
     return format(float(x), f".{CSV_DIGITS}g")
 
 
-@dataclass(frozen=True, eq=False)
-class TimeSeries:
+class TimeSeries(Record):
     """A scalar signal sampled at a fixed rate.
 
     Attributes
@@ -47,23 +46,20 @@ class TimeSeries:
         model.
     """
 
-    rate: float
-    t0: float
-    values: np.ndarray
-    label: str = field(default="value", compare=False)
-    stamps: np.ndarray | None = field(default=None, compare=False)
+    _fields = ("rate", "t0", "values", "label", "stamps")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # holds arrays: equal only to itself
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rate", positive_finite("sample rate", self.rate))
-        values = np.asarray(self.values, dtype=float)
+    def __init__(self, rate: float, t0: float, values: np.ndarray, label: str = "value",
+                 stamps: np.ndarray | None = None) -> None:
+        rate = positive_finite("sample rate", rate)
+        values = np.asarray(values, dtype=float)
         if values.ndim != 1 or len(values) < 2:
             raise ValueError("a time series needs at least two samples")
-        object.__setattr__(self, "values", values)
-        if self.stamps is not None:
-            stamps = np.asarray(self.stamps, dtype=float)
+        if stamps is not None:
+            stamps = np.asarray(stamps, dtype=float)
             if len(stamps) != len(values):
                 raise ValueError("timestamps and values differ in length")
-            object.__setattr__(self, "stamps", stamps)
+        self._set(rate=rate, t0=t0, values=values, label=label, stamps=stamps)
 
     def __len__(self) -> int:
         return len(self.values)

@@ -316,7 +316,7 @@ class TestReport:
 
     @pytest.mark.parametrize("flags,message", [
         (("--n", "2.5", "--unmatched-n", "3"),
-         "period multiple n = 2.5 is not an integer; pass exploratory=True to study "
+         "period multiple n = 2.5 is not an integer; pass --unmatched-n to study "
          "mistimed moves"),
         (("--unmatched-n", "3"), "unmatched n = 3.0 is a matched multiple; the mistimed "
          "column needs a non-integer n"),
@@ -331,6 +331,22 @@ class TestReport:
                                    "--out", str(out))
         assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag", [
+    (("plan", "--k", "5.78", "--mass", "0.09", "--out", "x.csv"), "--exploratory"),
+    (("simulate", "--k", "5.78", "--mass", "0.09"), "--exploratory"),
+    (("report", "--beam", "beam.json", "--masses", "0.02,0.09"), "--unmatched-n"),
+], ids=["plan", "simulate", "report"])
+def test_a_non_integer_n_names_the_subcommands_own_flag(capsys, beam_json, monkeypatch,
+                                                        command, flag):
+    # the message told a CLI user to pass exploratory=True, a Python keyword
+    monkeypatch.chdir(Path(beam_json).parent)
+    code, stdout, stderr = run(capsys, *command, "--L", "0.41", "--n", "2.5")
+    assert (code, stdout) == (2, "")
+    assert stderr == (f"error: period multiple n = 2.5 is not an integer; pass {flag} "
+                      "to study mistimed moves\n")
+    assert not Path("x.csv").exists()
 
 
 class TestConfigFile:

@@ -32,32 +32,55 @@ def test_scipy_stays_off_the_import_path(argv):
 MOVE = ("--L", "0.41", "--k", "5.78", "--mass", "0.09")
 
 
-@pytest.mark.parametrize("argv,loads_numpy", [
-    (("-c", "import flexmove"), False),
-    (("-m", "flexmove", "--help"), False),
-    (("-m", "flexmove", "sweep", *MOVE, "--n-from", "1.5", "--n-to", "4", "--step", "0.25",
-      "--out", "sweep.csv"), False),
-    (("-m", "flexmove", "report", "--beam", "beam.json", "--masses", "0.02,0.09",
-      "--L", "0.41", "--out", "table.csv"), False),
-    (("-m", "flexmove", "plan", *MOVE, "--n", "2", "--out", "setpoints.csv"), False),
-    (("-m", "flexmove", "plan", "--L", "0.41", "--beam", "beam.json", "--n", "2",
-      "--out", "setpoints.csv"), False),
-    (("-m", "flexmove", "simulate", *MOVE, "--n", "2"), False),
-    (("-m", "flexmove", "simulate", *MOVE, "--n", "2", "--trace-out", "rk4.csv"), False),
-    (("-m", "flexmove", "simulate", *MOVE, "--n", "2.5", "--exploratory"), False),
-    (("-c", "import flexmove; flexmove.integrate(lambda t: 0.0, 5.78, 1.0, 1e-3)"), False),
+JOBS = [
+    pytest.param(("-c", "import flexmove"), False, id="import"),
+    pytest.param(("-m", "flexmove", "--help"), False, id="help"),
+    pytest.param(("-m", "flexmove", "sweep", *MOVE, "--n-from", "1.5", "--n-to", "4", "--step",
+                  "0.25", "--out", "sweep.csv"), False, id="sweep"),
+    pytest.param(("-m", "flexmove", "report", "--beam", "beam.json", "--masses", "0.02,0.09",
+                  "--L", "0.41", "--out", "table.csv"), False, id="report"),
+    pytest.param(("-m", "flexmove", "plan", *MOVE, "--n", "2", "--out", "setpoints.csv"), False,
+                 id="plan"),
+    pytest.param(("-m", "flexmove", "plan", "--L", "0.41", "--beam", "beam.json", "--n", "2",
+                  "--out", "setpoints.csv"), False, id="plan-beam"),
+    pytest.param(("-m", "flexmove", "simulate", *MOVE, "--n", "2"), False, id="simulate"),
+    pytest.param(("-m", "flexmove", "simulate", *MOVE, "--n", "2", "--trace-out", "rk4.csv"),
+                 False, id="simulate-trace"),
+    pytest.param(("-m", "flexmove", "simulate", *MOVE, "--n", "2.5", "--exploratory"), False,
+                 id="simulate-exploratory"),
+    pytest.param(("-c", "import flexmove; flexmove.integrate(lambda t: 0.0, 5.78, 1.0, 1e-3)"),
+                 False, id="integrate"),
     # positive control: the check sees numpy where a job does array work
-    (("-m", "flexmove", "filter", "--in", "tip.csv", "--out", "filtered.csv"), True),
-], ids=["import", "help", "sweep", "report", "plan", "plan-beam", "simulate",
-        "simulate-trace", "simulate-exploratory", "integrate", "filter"])
-def test_numpy_loads_only_for_array_work(tmp_path, argv, loads_numpy):
+    pytest.param(("-m", "flexmove", "filter", "--in", "tip.csv", "--out", "filtered.csv"), True,
+                 id="filter"),
+]
+
+
+def job_modules(tmp_path, argv):
+    """Modules a job imports, run in tmp_path next to a beam document and a trace."""
     (tmp_path / "beam.json").write_text(json.dumps(BENCH_BEAM))
     (tmp_path / "tip.csv").write_text("t,a_tip\n" + "".join(f"{i / 1500!r},{i % 7}\n"
                                                             for i in range(100)))
     modules = imported_modules(*argv, cwd=tmp_path)
     assert "flexmove.analysis" in modules
+    return modules
+
+
+@pytest.mark.parametrize("argv,loads_numpy", JOBS)
+def test_numpy_loads_only_for_array_work(tmp_path, argv, loads_numpy):
+    modules = job_modules(tmp_path, argv)
     numpy_modules = sorted(m for m in modules if m == "numpy" or m.startswith("numpy."))
     assert bool(numpy_modules) == loads_numpy, numpy_modules[:5]
+
+
+@pytest.mark.parametrize("argv,loads_numpy", JOBS)
+def test_no_job_loads_dataclasses_or_inspect(tmp_path, argv, loads_numpy):
+    # `import dataclasses` pulls in inspect, ast, dis and tokenize; with the records
+    # it decorates, that costs every short job ~25 ms
+    modules = job_modules(tmp_path, argv)
+    assert "dataclasses" not in modules
+    # numpy imports inspect itself (numpy._core.overrides), so only the array job may
+    assert "inspect" not in modules or loads_numpy
 
 
 def fresh_python(code, **env):

@@ -400,6 +400,23 @@ class TestAction:
         assert delta_full < 0.0
 
 
+class TestExtremeScales:
+    # p**3 overflows here, although MotionSpec accepts the spec
+    SPEC = MotionSpec(L=1e-200, k=1e150, n=2, m=1.0)
+
+    def test_action_value_stays_finite(self):
+        spec = self.SPEC
+        value = action_value(spec, step=spec.t1 / 1000)
+        # spec.action underflows at L**2; the closed form with L*p formed first does not
+        closed_form = spec.m * spec.L * (spec.L * spec.p) * (math.pi / 3 + 1 / (4 * math.pi))
+        assert value == pytest.approx(closed_form, rel=1e-9)
+
+    def test_euler_lagrange_residual_stays_finite(self):
+        spec = self.SPEC
+        residual = euler_lagrange_residual(spec, np.linspace(0.0, spec.t1, 11))
+        assert np.max(np.abs(residual)) <= 1e-12 * spec.peak_acceleration * spec.p * spec.t1
+
+
 class TestEulerResidual:
     def test_motion_law_satisfies_the_euler_equation(self, bench_spec):
         t = np.linspace(0.0, bench_spec.t1, 501)
