@@ -39,8 +39,10 @@ def main() -> int:
         matched_spec = MotionSpec.from_beam(beam, L=BENCH_L, n=2.0)
         mistimed_spec = MotionSpec(L=BENCH_L, k=beam.frequency, n=args.mistimed_n,
                                    m=mass, exploratory=True)
-        matched = residual_report(matched_spec, simulate_relative(matched_spec))
-        mistimed = residual_report(mistimed_spec, simulate_relative(mistimed_spec))
+        relative = {"matched": simulate_relative(matched_spec),
+                    "mistimed": simulate_relative(mistimed_spec)}
+        matched = residual_report(matched_spec, relative["matched"])
+        mistimed = residual_report(mistimed_spec, relative["mistimed"])
         print(f"{mass:>10.3f} {beam.frequency:>10.3f} {matched.amplitude:>16.3e} "
               f"{mistimed.amplitude:>17.3e} {suppression_ratio(matched, mistimed):>10.1f}")
 
@@ -49,8 +51,7 @@ def main() -> int:
             trace = tip_trace(spec, args.rate)
             save_trace(outdir / f"tip_{name}_{tag}.csv", trace)
             save_trace(outdir / f"tip_{name}_{tag}_filtered.csv", filtfilt(design, trace))
-            write_relative_trace(outdir / f"relative_{name}_{tag}.csv", spec,
-                                 simulate_relative(spec))
+            write_relative_trace(outdir / f"relative_{name}_{tag}.csv", spec, relative[name])
         (outdir / f"report_{tag}.json").write_text(
             json.dumps({"matched": matched.as_dict(), "mistimed": mistimed.as_dict()},
                        indent=2) + "\n")

@@ -92,30 +92,25 @@ def magnitude_response(design: FilterDesign, freq_hz):
     return abs(complex(h)) if np.ndim(freq_hz) == 0 else np.abs(h)
 
 
-def _biquad_pass(sec: Biquad, x: np.ndarray) -> np.ndarray:
-    # Transposed direct form II with zero initial state.  Memoryviews read and write
-    # Python floats: the same IEEE arithmetic, without numpy scalars.
-    b0, b1, b2, a1, a2 = sec.b0, sec.b1, sec.b2, sec.a1, sec.a2
-    y = np.empty(len(x))
-    out = memoryview(y)
-    z1 = z2 = 0.0
-    for i, xi in enumerate(memoryview(x)):
-        yi = b0 * xi + z1
-        z1 = b1 * xi + z2 - a1 * yi
-        z2 = b2 * xi - a2 * yi
-        out[i] = yi
-    return y
-
-
-def _cascade(design: FilterDesign, x: np.ndarray) -> np.ndarray:
-    # Filter the deviation from the first sample: with unit DC gain the zero
-    # state is then the exact steady state for the leading value, so constant
-    # signals pass through bit exact and start-up transients stay small.
-    offset = x[0]
-    y = x - offset
-    for sec in design.sections:
-        y = _biquad_pass(sec, y)
-    return y + offset
+def _cascade(sections: tuple[Biquad, ...], y: np.ndarray) -> None:
+    # Filter y in place, each section in transposed direct form II with zero
+    # initial state.  The deviation from the first sample is filtered: with unit
+    # DC gain the zero state is then the exact steady state for the leading
+    # value, so constant signals pass through bit exact and start-up transients
+    # stay small.  The memoryview reads and writes Python floats, the same IEEE
+    # arithmetic without numpy scalars; xi is read before yi overwrites it.
+    offset = y[0]
+    y -= offset
+    buf = memoryview(y)
+    for sec in sections:
+        b0, b1, b2, a1, a2 = sec.b0, sec.b1, sec.b2, sec.a1, sec.a2
+        z1 = z2 = 0.0
+        for i, xi in enumerate(buf):
+            yi = b0 * xi + z1
+            z1 = b1 * xi + z2 - a1 * yi
+            z2 = b2 * xi - a2 * yi
+            buf[i] = yi
+    y += offset
 
 
 def filtfilt(design: FilterDesign, series: TimeSeries) -> TimeSeries:
@@ -129,15 +124,12 @@ def filtfilt(design: FilterDesign, series: TimeSeries) -> TimeSeries:
         raise ValueError(
             f"series rate {series.rate:g} Hz does not match the design rate "
             f"{design.rate_hz:g} Hz")
-    x = np.asarray(series.values, dtype=float)
+    x = series.values
     pad = PAD_FACTOR * design.order
     if len(x) <= pad:
         raise ValueError(f"series too short to filter: need more than {pad} samples, got {len(x)}")
-    head = 2.0 * x[0] - x[pad:0:-1]
-    tail = 2.0 * x[-1] - x[-2:-pad - 2:-1]
-    padded = np.concatenate((head, x, tail))
-    forward = _cascade(design, padded)
-    backward = _cascade(design, forward[::-1])[::-1]
-    return TimeSeries(rate=series.rate, t0=series.t0,
-                      values=backward[pad:-pad].copy(), label=series.label,
+    y = np.concatenate((2.0 * x[0] - x[pad:0:-1], x, 2.0 * x[-1] - x[-2:-pad - 2:-1]))
+    _cascade(design.sections, y)
+    _cascade(design.sections, y[::-1])
+    return TimeSeries(rate=series.rate, t0=series.t0, values=y[pad:-pad], label=series.label,
                       stamps=series.stamps)

@@ -48,6 +48,7 @@ def simpson_grid(t_end: float, step: float) -> np.ndarray:
     n = max(2, math.ceil(t_end / positive_finite("quadrature step", step) - 1e-9))
     if n % 2:
         n += 1
+    check_grid_size(n + 1.0, f"quadrature grid with step {step:g} s")
     return np.linspace(0.0, t_end, n + 1)
 
 

@@ -249,11 +249,12 @@ def euler_lagrange_residual(spec: MotionSpec, t, position_fn=None, accel_fn=None
 def write_relative_trace(path, spec: MotionSpec, trace: OscillatorTrace) -> None:
     """CSV of an integrated relative motion with header t,x_r,v_r,a_r.
 
-    The a_r column is -k**2 * x_r - u(t), with u evaluated as in simulate_relative.
+    The a_r column is -k*k * x_r - u(t), with the stiffness formed as integrate
+    forms it and u evaluated as in simulate_relative.
     """
     t1 = spec.t1
     if trace.t[0] < -1e-12 * t1 or trace.t[-1] > t1 + 1e-12 * t1:
         raise ValueError(f"time outside the motion interval [0, {t1:.12g}] s")
-    nksq, p, law = -spec.k**2, spec.p, spec._laws(math)[2]
+    nksq, p, law = -spec.k * spec.k, spec.p, spec._laws(math)[2]
     a = array("d", (nksq * x - law(p * t) for t, x in zip(trace.t, trace.x)))
     write_csv(path, ("t", "x_r", "v_r", "a_r"), (trace.t, trace.x, trace.v, a))

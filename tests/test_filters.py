@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flexmove import TimeSeries, design_butterworth, filtfilt, magnitude_response
-from flexmove.filters import _biquad_pass
+from flexmove.filters import _cascade
 
 RATE = 1500.0
 
@@ -93,6 +93,24 @@ def numpy_scalar_biquad_pass(sec, x):
     return y
 
 
+def numpy_scalar_cascade(sections, x):
+    """The cascade on numpy scalars into fresh arrays: the deviation from the
+    first sample through each section's loop, then the offset back."""
+    offset = x[0]
+    y = x - offset
+    for sec in sections:
+        y = numpy_scalar_biquad_pass(sec, y)
+    return y + offset
+
+
+def cascaded_in_place(sections, x, reverse=False):
+    """_cascade run on a copy of x, through a negative-stride view when reverse."""
+    buf = np.array(x[::-1] if reverse else x)
+    view = buf[::-1] if reverse else buf
+    _cascade(sections, view)
+    return view
+
+
 def same_bits(a, b):
     """Bit-identical arrays, except that a NaN may differ in sign and payload: IEEE 754
     leaves open which NaN operand an operation returns, and numpy's scalar operators
@@ -105,21 +123,21 @@ def same_bits(a, b):
 @given(order=st.sampled_from([2, 4, 6, 8]), fraction=st.floats(1e-4, 0.49),
        x=st.lists(st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, math.inf, math.nan]),
                   min_size=1, max_size=200))
-def test_biquad_pass_matches_the_numpy_scalar_loop(order, fraction, x):
+def test_cascade_matches_the_numpy_scalar_loop(order, fraction, x):
     design = design_butterworth(order, fraction * RATE, RATE)
     signal = np.array(x)
-    with np.errstate(all="ignore"):  # the numpy scalar loop warns on inf - inf
-        for sec in design.sections:
-            for view in (signal, signal[::-1]):  # a contiguous and a negative-stride buffer
-                assert same_bits(_biquad_pass(sec, view), numpy_scalar_biquad_pass(sec, view))
+    with np.errstate(all="ignore"):  # inf - inf warns in both routes
+        reference = numpy_scalar_cascade(design.sections, signal)
+        for reverse in (False, True):  # a contiguous and a negative-stride buffer
+            assert same_bits(cascaded_in_place(design.sections, signal, reverse), reference)
 
 
 def test_bench_trace_filters_bit_for_bit(bench_design):
     rng = np.random.default_rng(5)
     signal = np.sin(np.arange(5000) / 50.0) + 0.1 * rng.standard_normal(5000)
-    for sec in bench_design.sections:
-        reference = numpy_scalar_biquad_pass(sec, signal)
-        assert _biquad_pass(sec, signal).tobytes() == reference.tobytes()
+    reference = numpy_scalar_cascade(bench_design.sections, signal).tobytes()
+    for reverse in (False, True):
+        assert cascaded_in_place(bench_design.sections, signal, reverse).tobytes() == reference
 
 
 class TestFiltfilt:
@@ -179,6 +197,18 @@ class TestFiltfilt:
         series = TimeSeries(rate=RATE, t0=0.0, values=np.zeros(12))
         with pytest.raises(ValueError, match="too short"):
             filtfilt(bench_design, series)
+
+    @pytest.mark.parametrize("view", ["contiguous", "reversed-strided"])
+    def test_input_keeps_its_bytes(self, bench_design, view):
+        # TimeSeries keeps views, so filtering must not write through one
+        rng = np.random.default_rng(3)
+        base = rng.standard_normal(1200)
+        values = base if view == "contiguous" else base[::-3]
+        series = TimeSeries(rate=RATE, t0=0.0, values=values)
+        assert np.shares_memory(series.values, base)
+        before = base.tobytes()
+        filtfilt(bench_design, series)
+        assert base.tobytes() == before
 
     def test_rate_mismatch_rejected(self, bench_design):
         series = TimeSeries(rate=9000.0, t0=0.0, values=np.zeros(100))

@@ -299,6 +299,11 @@ class TestMoments:
         y = np.sin(omega * grid) + curve * grid**2
         assert simpson(y, grid) == float(reference(y, x=grid))
 
+    def test_oversized_quadrature_grid_rejected(self):
+        # 1.5e7 points: past the limit, yet small enough (120 MB) to allocate if unguarded
+        with pytest.raises(ValueError, match="^quadrature grid .* more than the limit of 10000000"):
+            simpson_grid(1.0, 1.0 / 1.5e7)
+
 
 class TestTimingResidual:
     @pytest.mark.parametrize("n", [2.0, 3.0, 7.0])

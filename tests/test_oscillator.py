@@ -469,6 +469,22 @@ def test_relative_trace_beyond_the_move_rejected(bench_spec, tmp_path):
         write_relative_trace(tmp_path / "relative.csv", bench_spec, trace)
 
 
+def test_relative_trace_uses_the_integrators_stiffness(monkeypatch):
+    # k**2 and k*k differ in the last bit here; the 12-digit CSV would hide it,
+    # so the columns are caught on their way to write_csv
+    k = 5.000000000000003
+    assert k**2 != k * k
+    spec = MotionSpec(L=0.41, k=k, n=2, m=0.09)
+    trace = simulate_relative(spec, step=spec.t1 / 2000)
+    written = {}
+    monkeypatch.setattr(oscillator, "write_csv",
+                        lambda path, header, columns: written.update(columns=columns))
+    write_relative_trace("unused.csv", spec, trace)
+    u = spec._laws(math)[2]
+    expected = [-k * k * x - u(spec.p * t) for t, x in zip(trace.t, trace.x)]
+    assert list(written["columns"][3]) == expected
+
+
 def test_relative_trace_csv(bench_spec, tmp_path):
     path = tmp_path / "relative.csv"
     trace = simulate_relative(bench_spec, step=bench_spec.t1 / 2000)
