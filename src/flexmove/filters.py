@@ -118,7 +118,8 @@ def filtfilt(design: FilterDesign, series: TimeSeries) -> TimeSeries:
 
     Both ends are extended with odd reflections (PAD_FACTOR * order samples
     each) before filtering and trimmed afterwards, which keeps boundary
-    transients out of the returned signal.
+    transients out of the returned signal.  A finite signal that overflows on
+    the way, in the padding or in the cascade, raises ValueError.
     """
     if not math.isclose(series.rate, design.rate_hz, rel_tol=1e-6):
         raise ValueError(
@@ -128,8 +129,12 @@ def filtfilt(design: FilterDesign, series: TimeSeries) -> TimeSeries:
     pad = PAD_FACTOR * design.order
     if len(x) <= pad:
         raise ValueError(f"series too short to filter: need more than {pad} samples, got {len(x)}")
-    y = np.concatenate((2.0 * x[0] - x[pad:0:-1], x, 2.0 * x[-1] - x[-2:-pad - 2:-1]))
-    _cascade(design.sections, y)
-    _cascade(design.sections, y[::-1])
-    return TimeSeries(rate=series.rate, t0=series.t0, values=y[pad:-pad], label=series.label,
-                      stamps=series.stamps)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        y = np.concatenate((2.0 * x[0] - x[pad:0:-1], x, 2.0 * x[-1] - x[-2:-pad - 2:-1]))
+        _cascade(design.sections, y)
+        _cascade(design.sections, y[::-1])
+    values = y[pad:-pad]
+    if not np.isfinite(values).all() and np.isfinite(x).all():
+        raise ValueError(f"filtering overflows the float range: the values reach "
+                         f"{float(np.max(np.abs(x))):.6g}; scale them down")
+    return TimeSeries(series.rate, series.t, values, series.label)

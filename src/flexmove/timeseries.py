@@ -34,41 +34,30 @@ class TimeSeries(Record):
     ----------
     rate : float
         Samples per second.
-    t0 : float
-        Time of the first sample [s].
+    t : np.ndarray
+        Sample times [s], as given: a loaded trace keeps its file's column, so it
+        writes back byte identically.
     values : np.ndarray
         The samples, at least two of them.
     label : str
         Column name used when the series is written to CSV.
-    stamps : np.ndarray | None
-        Exact timestamps as read from a file, kept so a loaded trace writes
-        back byte identically; processing always uses the uniform (t0, rate)
-        model.
     """
 
-    _fields = ("rate", "t0", "values", "label", "stamps")
+    _fields = ("rate", "t", "values", "label")
     __eq__, __hash__ = object.__eq__, object.__hash__  # holds arrays: equal only to itself
 
-    def __init__(self, rate: float, t0: float, values: np.ndarray, label: str = "value",
-                 stamps: np.ndarray | None = None) -> None:
+    def __init__(self, rate: float, t: np.ndarray, values: np.ndarray,
+                 label: str = "value") -> None:
         rate = positive_finite("sample rate", rate)
-        values = np.asarray(values, dtype=float)
+        t, values = np.asarray(t, dtype=float), np.asarray(values, dtype=float)
         if values.ndim != 1 or len(values) < 2:
             raise ValueError("a time series needs at least two samples")
-        if stamps is not None:
-            stamps = np.asarray(stamps, dtype=float)
-            if len(stamps) != len(values):
-                raise ValueError("timestamps and values differ in length")
-        self._set(rate=rate, t0=t0, values=values, label=label, stamps=stamps)
+        if t.shape != values.shape:
+            raise ValueError("time and value columns differ in length")
+        self._set(rate=rate, t=t, values=values, label=label)
 
     def __len__(self) -> int:
         return len(self.values)
-
-    @property
-    def times(self) -> np.ndarray:
-        if self.stamps is not None:
-            return self.stamps
-        return self.t0 + np.arange(len(self.values)) / self.rate
 
 
 def _cells(column):
@@ -175,7 +164,7 @@ JITTER_TOL = 1e-3
 
 
 def uniform_rate(t: np.ndarray, context: str = "trace") -> float:
-    """Sample rate inferred from the median time step; rejects jittered stamps."""
+    """Sample rate inferred from the median time step; rejects jittered time steps."""
     if len(t) < 2:
         raise ValueError(f"{context} must contain at least two rows")
     if not np.isfinite(t).all():
@@ -197,9 +186,9 @@ def load_trace(path) -> TimeSeries:
     rate = uniform_rate(t, context=f"{path}")
     if not np.isfinite(values).all():
         raise ValueError(f"{path}: value column must hold finite numbers")
-    return TimeSeries(rate=rate, t0=float(t[0]), values=values, label=header[1], stamps=t)
+    return TimeSeries(rate, t, values, header[1])
 
 
 def save_trace(path, series: TimeSeries) -> None:
     """Write a TimeSeries as a two-column `t,<value>` CSV headed by its label."""
-    write_csv(path, ("t", series.label), (series.times, series.values))
+    write_csv(path, ("t", series.label), (series.t, series.values))

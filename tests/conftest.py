@@ -1,12 +1,37 @@
+import os
+import warnings
+from pathlib import Path
+
 import pytest
 
+import flexmove
 from flexmove import BeamSpec, MotionSpec
+
+# When a @given test fails, hypothesis's pytest plugin imports this module to
+# write a patch file.  It imports libcst, whose import raises a
+# DeprecationWarning; under filterwarnings = ["error"] that aborts the session
+# with INTERNALERROR, before the falsifying example is printed.  Imported here
+# once with the warning ignored, the module is already loaded when the plugin
+# asks for it, and no warning filter changes.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # a private module; a hypothesis without it does not patch
+        pass
 
 # Bench configuration used throughout: 0.41 m move of a 0.09 kg tip mass on a
 # steel strip whose natural frequency is 5.78 rad/s, completed in two periods.
 BENCH = dict(L=0.41, k=5.78, n=2.0, m=0.09)
 
 BENCH_BEAM = dict(l=0.305, b=0.013, h=0.5e-3, E=2.1e11, m_tip=0.09)
+
+
+def child_env() -> dict:
+    """The environment for a child process that imports this flexmove."""
+    src = str(Path(flexmove.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture

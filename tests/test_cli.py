@@ -2,7 +2,6 @@ import contextlib
 import io
 import json
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BENCH_BEAM
-import flexmove
+from conftest import BENCH_BEAM, child_env
 from flexmove.cli import main
 from flexmove.timeseries import read_numeric_csv, write_csv
 
@@ -245,6 +243,20 @@ class TestFilter:
         assert code == 1
         assert "error" in stderr
 
+    @pytest.mark.parametrize("peak", [3e307, 6e307])
+    def test_overflowing_trace_fails_with_one_line(self, tmp_path, peak):
+        # a child process, so that a numpy warning would reach stderr as a user sees it
+        inp = self.make_trace(tmp_path, peak * (-1.0) ** np.arange(40), rate=10.0)
+        out = tmp_path / "filtered.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "flexmove", "filter", "--in", str(inp), "--out", str(out),
+             "--order", "8", "--cutoff-hz", "1"],
+            capture_output=True, text=True, env=child_env(), timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: filtering overflows the float range")
+        assert proc.stderr.count("\n") == 1
+        assert not out.exists()
+
 
 #: spawns argv[1:] and prints its exit code and its own peak resident size
 LAUNCHER = """import os, sys
@@ -265,14 +277,12 @@ def test_filter_job_memory_stays_bounded(tmp_path):
     inp = tmp_path / "trace.csv"
     t = np.arange(300_000) / 2000.0
     write_csv(inp, ("t", "a_tip"), (t, np.sin(t) + 0.01 * np.cos(300.0 * t)))
-    src = str(Path(flexmove.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     jobs = [("filter", "--in", str(inp), "--out", str(tmp_path / "filtered.csv"), "--order", "8"),
             ("simulate", *MOVE, "--step", "2.2e-6", "--trace-out", str(tmp_path / "rk4.csv"))]
     for job in jobs:
         proc = subprocess.run(
             [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "flexmove", *job],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+            capture_output=True, text=True, env=child_env(), timeout=120,
             check=True)
         code, peak_kib = map(int, proc.stdout.split()[-2:])  # after the job's own stdout
         assert code == 0, job[0]

@@ -12,6 +12,7 @@ import math
 import pytest
 
 from conftest import BENCH, BENCH_BEAM
+from flexmove import MotionSpec, design_butterworth, filtfilt, save_trace, tip_trace
 from flexmove.cli import main
 
 MOVE = ["--L", repr(BENCH["L"]), "--k", repr(BENCH["k"]), "--n", repr(BENCH["n"]),
@@ -104,3 +105,21 @@ def test_golden_output(name, tmp_path, monkeypatch, capsys):
     for out in outputs:
         found[out] = hashlib.sha256((tmp_path / out).read_bytes()).hexdigest()
     assert found == GOLDEN[name]
+
+
+#: save_trace of the library trace path that no CLI case reaches: tip_trace's
+#: time column, and filtfilt passing it through
+TRACE_GOLDEN = {
+    "tip": "2b53ec4abaee9b42027fee9577018b2b483abd8993bee6cc67e80aeb76c7c5ba",
+    "tip-filtered": "09dc790a9a165a404e9f2c61514681045dddfcc314866922b6bbe199889ebf6e",
+}
+
+
+def test_golden_trace(tmp_path):
+    tip = tip_trace(MotionSpec(**BENCH), 1500.0)
+    found = {}
+    for name, series in (("tip", tip),
+                         ("tip-filtered", filtfilt(design_butterworth(4, 20.0, 1500.0), tip))):
+        save_trace(tmp_path / "trace.csv", series)
+        found[name] = hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest()
+    assert found == TRACE_GOLDEN

@@ -446,13 +446,13 @@ class TestTipTrace:
 
     def test_is_sum_of_components(self, bench_spec):
         trace = tip_trace(bench_spec, 500.0)
-        t = trace.times
+        t = trace.t
         expected = bench_spec.acceleration(t) + relative_motion(bench_spec, t)[2]
         assert np.array_equal(trace.values, expected)
 
     def test_position_kind(self, bench_spec):
         trace = tip_trace(bench_spec, 500.0, kind="position")
-        t = trace.times
+        t = trace.t
         expected = bench_spec.position(t) + relative_motion(bench_spec, t)[0]
         assert np.array_equal(trace.values, expected)
         assert trace.label == "x_tip"

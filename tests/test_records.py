@@ -24,7 +24,7 @@ SPEC = MotionSpec(0.41, 5.78, 2.0, 0.09)
 SECTIONS = design_butterworth(4, 20.0, 1500.0).sections
 ROW = SweepRow(2.0, 2.17, 0.0, 0.05, True)
 T, X, V = array("d", [0.0, 0.5]), array("d", [0.0, 1e-3]), array("d", [0.0, -2e-3])
-SAMPLES, STAMPS = np.array([0.25, 1.0, 2.0]), np.array([0.5, 1.5, 2.5])
+SAMPLES, TIMES = np.array([0.25, 1.0, 2.0]), np.array([0.5, 1.5, 2.5])
 
 CASES = [
     Case(BeamSpec, ("l", "b", "h", "E", "m_tip"), (0.305, 0.013, 0.5e-3, 2.1e11, 0.09), {},
@@ -38,8 +38,8 @@ CASES = [
                           "tolerance"),
          (SPEC, 1e-9, -2e-9, 3e-9, True, 0.049, 4.1e-7), {},
          (SPEC, 1e-9, -2e-9, 3e-9, False, 0.049, 4.1e-7)),
-    Case(TimeSeries, ("rate", "t0", "values", "label", "stamps"),
-         (1.0, 0.5, SAMPLES, "a_tip", STAMPS), {"label": "value", "stamps": None}, None),
+    Case(TimeSeries, ("rate", "t", "values", "label"), (1.0, TIMES, SAMPLES, "a_tip"),
+         {"label": "value"}, None),
     Case(Biquad, ("b0", "b1", "b2", "a1", "a2"), (0.1, 0.2, 0.15, -0.5, 0.25), {},
          (0.1, 0.2, 0.15, -0.5, 0.3)),
     Case(FilterDesign, ("order", "cutoff_hz", "rate_hz", "sections"),

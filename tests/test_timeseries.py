@@ -15,18 +15,23 @@ from flexmove.timeseries import fmt, read_numeric_csv, write_csv
 
 
 class TestTimeSeries:
-    def test_times_derive_from_rate(self):
-        series = TimeSeries(rate=10.0, t0=0.5, values=np.arange(4.0))
-        assert np.allclose(series.times, [0.5, 0.6, 0.7, 0.8])
+    def test_keeps_its_time_column_as_float64(self):
+        series = TimeSeries(rate=10.0, t=array("d", [0.5, 0.6, 0.7, 0.8]), values=range(4))
+        assert series.t.dtype == np.float64 and series.t.tolist() == [0.5, 0.6, 0.7, 0.8]
+        assert series.values.dtype == np.float64
         assert len(series) == 4
+
+    def test_rejects_time_column_of_other_length(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            TimeSeries(rate=1.0, t=np.arange(4.0), values=np.zeros(5))
 
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError, match="rate"):
-            TimeSeries(rate=0.0, t0=0.0, values=np.zeros(5))
+            TimeSeries(rate=0.0, t=np.arange(5.0), values=np.zeros(5))
 
     def test_rejects_single_sample(self):
         with pytest.raises(ValueError, match="two samples"):
-            TimeSeries(rate=1.0, t0=0.0, values=np.zeros(1))
+            TimeSeries(rate=1.0, t=np.zeros(1), values=np.zeros(1))
 
 
 class TestCsvRoundTrip:
@@ -42,7 +47,8 @@ class TestCsvRoundTrip:
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
         rng = np.random.default_rng(3)
-        series = TimeSeries(rate=1500.0, t0=0.0, values=rng.standard_normal(300), label="a_tip")
+        series = TimeSeries(rate=1500.0, t=np.arange(300) / 1500.0, values=rng.standard_normal(300),
+                            label="a_tip")
         save_trace(first, series)
         save_trace(second, load_trace(first))
         assert first.read_bytes() == second.read_bytes()
@@ -203,11 +209,10 @@ def test_write_csv_writes_any_array_dtype_as_float64(tmp_path_factory, columns):
     assert_written_as_savetxt(tmp_path_factory, columns, as_float64)
 
 
-def test_save_trace_with_big_endian_stamps(tmp_path):
-    stamps = np.arange(4) / 8.0
+def test_save_trace_with_big_endian_t(tmp_path):
+    t = np.arange(4) / 8.0
     path = tmp_path / "trace.csv"
-    save_trace(path, TimeSeries(rate=8.0, t0=0.0, values=[1.0, 2.0, 3.0, 4.0],
-                                stamps=stamps.astype(">f8")))
+    save_trace(path, TimeSeries(rate=8.0, t=t.astype(">f8"), values=[1.0, 2.0, 3.0, 4.0]))
     assert path.read_text() == "t,value\n0,1\n0.125,2\n0.25,3\n0.375,4\n"
 
 
