@@ -22,7 +22,7 @@ if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .analysis import (AmplitudeTable, SweepResult, SweepRow, amplitude_table,
-                       energy_figure, residual_amplitude, suppression_ratio, sweep_n)
+                       energy_figure, suppression_ratio, sweep_n)
 from .beam import BeamSpec, load_beam
 from .filters import Biquad, FilterDesign, design_butterworth, filtfilt, magnitude_response
 from .motion import MomentIntegrals, MotionSpec, SetpointTable, simpson_grid, timing_residual
@@ -39,7 +39,7 @@ __all__ = [
     "action_value", "amplitude_table", "design_butterworth",
     "energy_figure", "euler_lagrange_residual", "filtfilt", "final_relative_state",
     "integrate", "load_beam", "load_trace", "magnitude_response",
-    "relative_motion", "residual_amplitude", "residual_report",
+    "relative_motion", "residual_report",
     "save_trace", "simpson_grid", "simulate_relative",
     "suppression_ratio", "sweep_n", "timing_residual",
     "tip_trace", "write_relative_trace",

@@ -28,13 +28,7 @@ def _spec_for(L: float, k: float, m: float, n: float) -> MotionSpec:
 
 
 def _amplitude(spec: MotionSpec) -> float:
-    x_end, v_end = final_relative_state(spec)
-    return math.hypot(x_end, v_end / spec.k)
-
-
-def residual_amplitude(L: float, k: float, n: float) -> float:
-    """Closed-form end-of-move oscillation amplitude; mass independent."""
-    return _amplitude(_spec_for(L, k, 1.0, n))
+    return ResidualReport(spec, *final_relative_state(spec)).amplitude
 
 
 class SweepRow(NamedTuple):
@@ -117,10 +111,6 @@ def suppression_ratio(matched: ResidualReport, unmatched: ResidualReport) -> flo
     return unmatched.amplitude / max(matched.amplitude, matched.tolerance)
 
 
-TABLE_CAPTION = ("noise-free simulation; matched moves end quiescent by construction. "
-                 "Bench measurements (sensor noise, drive ripple) are not reproduced here.")
-
-
 class AmplitudeTable(NamedTuple):
     """Matched versus mistimed residual amplitudes across carried masses."""
 
@@ -130,7 +120,9 @@ class AmplitudeTable(NamedTuple):
     unmatched_n: float
     matched: tuple[float, ...]
     unmatched: tuple[float, ...]
-    caption: str = TABLE_CAPTION
+
+    caption = ("noise-free simulation; matched moves end quiescent by construction. "
+               "Bench measurements (sensor noise, drive ripple) are not reproduced here.")
 
     def to_text(self) -> str:
         width = 12

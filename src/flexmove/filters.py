@@ -137,4 +137,4 @@ def filtfilt(design: FilterDesign, series: TimeSeries) -> TimeSeries:
     if not np.isfinite(values).all() and np.isfinite(x).all():
         raise ValueError(f"filtering overflows the float range: the values reach "
                          f"{float(np.max(np.abs(x))):.6g}; scale them down")
-    return TimeSeries(series.rate, series.t, values, series.label)
+    return TimeSeries(series.t, values, series.label)

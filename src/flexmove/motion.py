@@ -109,11 +109,11 @@ class MomentIntegrals(NamedTuple):
 class SetpointTable(Record):
     """Uniform motion setpoints (time, position, velocity, acceleration) in ``array('d')``."""
 
-    _fields = ("rate", "t", "s", "v", "a")
+    _fields = ("t", "s", "v", "a")
     __eq__, __hash__ = object.__eq__, object.__hash__  # holds arrays: equal only to itself
 
-    def __init__(self, rate: float, t: array, s: array, v: array, a: array) -> None:
-        self._set(rate=rate, t=t, s=s, v=v, a=a)
+    def __init__(self, t: array, s: array, v: array, a: array) -> None:
+        self._set(t=t, s=s, v=v, a=a)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -236,7 +236,7 @@ class MotionSpec(Record):
             t.fromlist(times)
             for column, law in zip((s, v, a), laws):
                 column.fromlist(list(map(law, phases)))
-        return SetpointTable(rate, t, s, v, a)
+        return SetpointTable(t, s, v, a)
 
     def moment_integrals(self, step: float | None = None) -> MomentIntegrals:
         """Composite-Simpson moments of the control and velocity over the move."""

@@ -140,15 +140,32 @@ def simulate_relative(spec: MotionSpec, step: float | None = None) -> Oscillator
 
 
 class ResidualReport(NamedTuple):
-    """End-of-move quiescence summary for one motion spec."""
+    """End-of-move quiescence summary: the state at t1, with the verdict derived from it."""
 
     spec: MotionSpec
     x_end: float       # relative displacement at t1 [m]
     v_end: float       # relative velocity at t1 [m/s]
-    amplitude: float   # free-oscillation phasor sqrt(x_end**2 + (v_end/k)**2) [m]
-    quiescent: bool
-    action: float      # action of the executed motion law, closed form [J*s]
-    tolerance: float   # quiescence threshold on the amplitude [m]
+
+    @property
+    def amplitude(self) -> float:
+        """Free-oscillation phasor sqrt(x_end**2 + (v_end/k)**2) [m]."""
+        return math.hypot(self.x_end, self.v_end / self.spec.k)
+
+    @property
+    def tolerance(self) -> float:
+        """Quiescence threshold on the amplitude, QUIESCENCE_TOL_FACTOR * L [m]."""
+        return QUIESCENCE_TOL_FACTOR * self.spec.L
+
+    @property
+    def quiescent(self) -> bool:
+        """The spec guarantees quiescence (integer n) and the amplitude is within tolerance."""
+        return self.spec.guarantees_quiescence and self.amplitude <= self.tolerance
+
+    @property
+    def action(self) -> float:
+        """``spec.action``, the closed form m*L**2*p*(pi/3 + 1/(4*pi)) of
+        :func:`action_value` over the executed motion law [J*s]."""
+        return self.spec.action
 
     def as_dict(self) -> dict:
         return {
@@ -170,27 +187,17 @@ def _nearest(grid, t: float) -> int:
 
 
 def residual_report(spec: MotionSpec, trace: OscillatorTrace | None = None) -> ResidualReport:
-    """Quiescence metrics at the end of the move.
+    """Quiescence summary of the state at the end of the move.
 
-    With a trace, the endpoint state comes from the integrator; otherwise from
-    the closed form.  A report is quiescent only when the spec guarantees it
-    (integer period multiple) and the residual amplitude is within QUIESCENCE_TOL_FACTOR * L.
-    The action is ``spec.action``, the closed form m*L**2*p*(pi/3 + 1/(4*pi))
-    of :func:`action_value` over the executed motion law.
+    With a trace, the endpoint state is the integrator's row nearest t1;
+    otherwise it comes from the closed form.
     """
-    tolerance = QUIESCENCE_TOL_FACTOR * spec.L
     if trace is None:
-        x_end, v_end = final_relative_state(spec)
-    else:
-        if trace.t[-1] < spec.t1 * (1.0 - 1e-9):
-            raise ValueError("trace does not cover the whole move [0, t1]")
-        idx = _nearest(trace.t, spec.t1)
-        x_end, v_end = float(trace.x[idx]), float(trace.v[idx])
-    amplitude = math.hypot(x_end, v_end / spec.k)
-    return ResidualReport(
-        spec=spec, x_end=x_end, v_end=v_end, amplitude=amplitude,
-        quiescent=spec.guarantees_quiescence and amplitude <= tolerance,
-        action=spec.action, tolerance=tolerance)
+        return ResidualReport(spec, *final_relative_state(spec))
+    if trace.t[-1] < spec.t1 * (1.0 - 1e-9):
+        raise ValueError("trace does not cover the whole move [0, t1]")
+    idx = _nearest(trace.t, spec.t1)
+    return ResidualReport(spec, float(trace.x[idx]), float(trace.v[idx]))
 
 
 def tip_trace(spec: MotionSpec, rate: float, kind: str = "acceleration") -> TimeSeries:
@@ -202,9 +209,9 @@ def tip_trace(spec: MotionSpec, rate: float, kind: str = "acceleration") -> Time
     table = spec.sample_uniform(rate)
     x, _, a = relative_motion(spec, np.asarray(table.t))
     if kind == "acceleration":
-        return TimeSeries(rate, table.t, np.asarray(table.a) + a, "a_tip")
+        return TimeSeries(table.t, np.asarray(table.a) + a, "a_tip")
     if kind == "position":
-        return TimeSeries(rate, table.t, np.asarray(table.s) + x, "x_tip")
+        return TimeSeries(table.t, np.asarray(table.s) + x, "x_tip")
     raise ValueError(f"unknown tip trace kind {kind!r}; use 'acceleration' or 'position'")
 
 

@@ -8,7 +8,6 @@ from itertools import chain, islice
 
 from ._numpy import np
 from ._record import Record
-from .beam import positive_finite
 
 #: significant digits written to CSV.  Not a lossless float round trip: a
 #: reloaded value differs from the written float by up to 5e-12 relative.
@@ -32,29 +31,27 @@ class TimeSeries(Record):
 
     Attributes
     ----------
-    rate : float
-        Samples per second.
     t : np.ndarray
-        Sample times [s], as given: a loaded trace keeps its file's column, so it
-        writes back byte identically.
+        Sample times [s], uniformly spaced and as given: a loaded trace keeps its
+        file's column, so it writes back byte identically.
     values : np.ndarray
         The samples, at least two of them.
     label : str
         Column name used when the series is written to CSV.
+    rate : float
+        Samples per second, ``uniform_rate(t)``: set from ``t``, never passed.
     """
 
-    _fields = ("rate", "t", "values", "label")
+    _fields = ("t", "values", "label")
     __eq__, __hash__ = object.__eq__, object.__hash__  # holds arrays: equal only to itself
 
-    def __init__(self, rate: float, t: np.ndarray, values: np.ndarray,
-                 label: str = "value") -> None:
-        rate = positive_finite("sample rate", rate)
+    def __init__(self, t: np.ndarray, values: np.ndarray, label: str = "value") -> None:
         t, values = np.asarray(t, dtype=float), np.asarray(values, dtype=float)
         if values.ndim != 1 or len(values) < 2:
             raise ValueError("a time series needs at least two samples")
         if t.shape != values.shape:
             raise ValueError("time and value columns differ in length")
-        self._set(rate=rate, t=t, values=values, label=label)
+        self._set(t=t, values=values, label=label, rate=uniform_rate(t))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -183,10 +180,10 @@ def uniform_rate(t: np.ndarray, context: str = "trace") -> float:
 def load_trace(path) -> TimeSeries:
     """Read a two-column `t,<value>` CSV into a TimeSeries."""
     header, (t, values) = read_numeric_csv(path, n_columns=2)
-    rate = uniform_rate(t, context=f"{path}")
+    uniform_rate(t, context=f"{path}")  # the TimeSeries checks t again, without the file name
     if not np.isfinite(values).all():
         raise ValueError(f"{path}: value column must hold finite numbers")
-    return TimeSeries(rate, t, values, header[1])
+    return TimeSeries(t, values, header[1])
 
 
 def save_trace(path, series: TimeSeries) -> None:

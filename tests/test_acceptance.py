@@ -145,18 +145,18 @@ def test_c7_zero_phase_filter_properties():
     def amplitude(values, freq):
         return abs(2.0 * np.mean(values[window] * np.exp(-2j * np.pi * freq * t[window])))
 
-    passband = TimeSeries(rate=rate, t=t, values=np.sin(2 * np.pi * 5.0 * t))
+    passband = TimeSeries(t=t, values=np.sin(2 * np.pi * 5.0 * t))
     out = filtfilt(design, passband)
     assert abs(amplitude(out.values, 5.0) / amplitude(passband.values, 5.0) - 1.0) <= 1e-3
     x = passband.values[window] - np.mean(passband.values[window])
     y = out.values[window] - np.mean(out.values[window])
     assert int(np.argmax(np.correlate(y, x, mode="full"))) - (len(x) - 1) == 0
 
-    stopband = TimeSeries(rate=rate, t=t, values=np.sin(2 * np.pi * 40.0 * t))
+    stopband = TimeSeries(t=t, values=np.sin(2 * np.pi * 40.0 * t))
     attenuation = amplitude(filtfilt(design, stopband).values, 40.0) / amplitude(stopband.values, 40.0)
     assert attenuation <= 10.0 ** (-40.0 / 20.0)
 
-    constant = TimeSeries(rate=rate, t=t[:400], values=np.full(400, -1.25))
+    constant = TimeSeries(t=t[:400], values=np.full(400, -1.25))
     assert np.array_equal(filtfilt(design, constant).values, constant.values)
 
 

@@ -6,15 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BENCH
-from flexmove import (MotionSpec, amplitude_table, energy_figure,
-                      residual_amplitude, residual_report, simpson_grid,
-                      suppression_ratio, sweep_n)
+from flexmove import (MotionSpec, amplitude_table, energy_figure, residual_report,
+                      simpson_grid, suppression_ratio, sweep_n)
 from flexmove.timeseries import read_numeric_csv
 
 # Frozen drive-cost figure for the bench move; equals m*L^2*p^2/pi^2.
 BENCH_ENERGY = 0.012802835429356531
 
 MOVE = {key: BENCH[key] for key in ("L", "k", "m")}
+
+
+def residual_amplitude(n: float) -> float:
+    """Closed-form residual amplitude of the bench displacement and frequency at multiple n."""
+    return residual_report(MotionSpec(L=0.41, k=5.78, n=n, m=1.0, exploratory=True)).amplitude
 
 
 class TestSweep:
@@ -59,14 +63,14 @@ class TestSweep:
     def test_residual_touches_zero_only_at_integers(self):
         # local minima with machine-zero value at each integer multiple
         for n in range(2, 10):
-            at = residual_amplitude(0.41, 5.78, float(n))
+            at = residual_amplitude(float(n))
             assert at <= 1e-12
-            assert residual_amplitude(0.41, 5.78, n - 0.01) > at
-            assert residual_amplitude(0.41, 5.78, n + 0.01) > at
+            assert residual_amplitude(n - 0.01) > at
+            assert residual_amplitude(n + 0.01) > at
 
     def test_residual_is_continuous_in_n(self):
         ns = np.arange(1.9, 5.1, 1e-3)
-        amps = np.array([residual_amplitude(0.41, 5.78, float(n)) for n in ns])
+        amps = np.array([residual_amplitude(float(n)) for n in ns])
         # bounded increments on a fine grid rule out jumps
         assert np.max(np.abs(np.diff(amps))) < 5e-4
 
@@ -74,7 +78,7 @@ class TestSweep:
         peaks = []
         for n in range(2, 10):
             grid = np.linspace(n + 0.02, n + 0.98, 97)
-            peaks.append(max(residual_amplitude(0.41, 5.78, float(x)) for x in grid))
+            peaks.append(max(residual_amplitude(float(x)) for x in grid))
         assert all(a > b for a, b in zip(peaks, peaks[1:]))
 
     def test_mass_does_not_change_residual(self):

@@ -19,12 +19,12 @@ def bench_design():
 
 def sampled(values, rate=RATE, label="value"):
     """A series of the given values on the grid i / rate."""
-    return TimeSeries(rate, np.arange(len(values)) / rate, values, label)
+    return TimeSeries(np.arange(len(values)) / rate, values, label)
 
 
 def tone(freq_hz, seconds=3.0, rate=RATE):
     t = np.arange(int(seconds * rate)) / rate
-    return TimeSeries(rate=rate, t=t, values=np.sin(2 * np.pi * freq_hz * t))
+    return TimeSeries(t=t, values=np.sin(2 * np.pi * freq_hz * t))
 
 
 def tone_amplitude(series, freq_hz, trim=300):
@@ -221,7 +221,7 @@ class TestFiltfilt:
             filtfilt(bench_design, series)
 
     def test_preserves_length_rate_and_label(self, bench_design):
-        series = TimeSeries(RATE, 0.25 + np.arange(500) / RATE, np.sin(np.arange(500) / 10),
+        series = TimeSeries(0.25 + np.arange(500) / RATE, np.sin(np.arange(500) / 10),
                             label="a_tip")
         out = filtfilt(bench_design, series)
         assert len(out) == len(series)

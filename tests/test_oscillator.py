@@ -229,7 +229,39 @@ class TestIntegrator:
         assert np.max(np.abs(np.asarray(trace.x) - x_closed)) <= 1e-6
 
 
+REPORT_SPECS = [
+    MotionSpec(L=0.41, k=5.78, n=2.0, m=0.09),
+    MotionSpec(L=1.3, k=12.0, n=5.0, m=0.4),
+    MotionSpec(L=0.41, k=5.78, n=2.5, m=0.09, exploratory=True),
+    MotionSpec(L=0.41, k=5.78, n=3.0, m=0.09, exploratory=True),
+    MotionSpec(L=0.02, k=40.0, n=7.25, m=1.5, exploratory=True),
+]
+
+REPORT_KEYS = ["L", "k", "n", "m", "p", "t1", "x_end", "v_end", "amplitude", "quiescent",
+               "action", "tolerance"]
+
+
 class TestResidualReport:
+    @pytest.mark.parametrize("route", ["closed-form", "rk4"])
+    @pytest.mark.parametrize("spec", REPORT_SPECS,
+                             ids=[f"n={s.n:g}{'-exploratory' * s.exploratory}"
+                                  for s in REPORT_SPECS])
+    def test_verdict_fields_derive_from_the_endpoint(self, spec, route):
+        report = residual_report(spec, simulate_relative(spec) if route == "rk4" else None)
+        assert report == (spec, report.x_end, report.v_end)
+        assert report.amplitude == math.hypot(report.x_end, report.v_end / spec.k)
+        assert report.tolerance == 1e-6 * spec.L
+        assert report.action == spec.action
+        assert report.quiescent is (spec.guarantees_quiescence
+                                    and report.amplitude <= report.tolerance)
+        assert report.quiescent is spec.guarantees_quiescence  # every strict spec here ends at rest
+        fields = report.as_dict()
+        assert list(fields) == REPORT_KEYS
+        assert fields == {"L": spec.L, "k": spec.k, "n": spec.n, "m": spec.m, "p": spec.p,
+                          "t1": spec.t1, "x_end": report.x_end, "v_end": report.v_end,
+                          "amplitude": report.amplitude, "quiescent": report.quiescent,
+                          "action": report.action, "tolerance": report.tolerance}
+
     def test_strict_report_quiescent(self, bench_spec):
         report = residual_report(bench_spec, simulate_relative(bench_spec))
         assert report.quiescent

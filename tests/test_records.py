@@ -9,7 +9,6 @@ import pytest
 from flexmove import (AmplitudeTable, BeamSpec, Biquad, FilterDesign, MotionSpec,
                       OscillatorTrace, ResidualReport, SetpointTable, SweepResult, SweepRow,
                       TimeSeries, design_butterworth)
-from flexmove.analysis import TABLE_CAPTION
 
 
 class Case(NamedTuple):
@@ -31,15 +30,12 @@ CASES = [
          (0.305, 0.013, 0.5e-3, 2.1e11, 0.02)),
     Case(MotionSpec, ("L", "k", "n", "m", "exploratory"), (0.41, 5.78, 2.0, 0.09, True),
          {"exploratory": False}, (0.41, 5.78, 2.5, 0.09, True)),
-    Case(SetpointTable, ("rate", "t", "s", "v", "a"),
-         (1500.0, T, X, V, array("d", [0.0, 4.0])), {}, None),
+    Case(SetpointTable, ("t", "s", "v", "a"), (T, X, V, array("d", [0.0, 4.0])), {}, None),
     Case(OscillatorTrace, ("t", "x", "v"), (T, X, V), {}, None),
-    Case(ResidualReport, ("spec", "x_end", "v_end", "amplitude", "quiescent", "action",
-                          "tolerance"),
-         (SPEC, 1e-9, -2e-9, 3e-9, True, 0.049, 4.1e-7), {},
-         (SPEC, 1e-9, -2e-9, 3e-9, False, 0.049, 4.1e-7)),
-    Case(TimeSeries, ("rate", "t", "values", "label"), (1.0, TIMES, SAMPLES, "a_tip"),
-         {"label": "value"}, None),
+    Case(ResidualReport, ("spec", "x_end", "v_end"), (SPEC, 1e-9, -2e-9), {},
+         (SPEC, 1e-9, -3e-9)),
+    Case(TimeSeries, ("t", "values", "label"), (TIMES, SAMPLES, "a_tip"), {"label": "value"},
+         None),
     Case(Biquad, ("b0", "b1", "b2", "a1", "a2"), (0.1, 0.2, 0.15, -0.5, 0.25), {},
          (0.1, 0.2, 0.15, -0.5, 0.3)),
     Case(FilterDesign, ("order", "cutoff_hz", "rate_hz", "sections"),
@@ -49,10 +45,9 @@ CASES = [
     Case(SweepResult, ("L", "k", "m", "rows"), (0.41, 5.78, 0.09, (ROW,)), {},
          (0.41, 5.78, 0.09, (ROW, ROW))),
     Case(AmplitudeTable, ("masses", "frequencies", "matched_n", "unmatched_n", "matched",
-                          "unmatched", "caption"),
-         ((0.02, 0.09), (12.3, 5.78), 2.0, 2.5, (0.0, 1e-18), (0.01, 0.02), "bench"),
-         {"caption": TABLE_CAPTION}, ((0.02, 0.09), (12.3, 5.78), 3.0, 2.5, (0.0, 1e-18),
-                                      (0.01, 0.02), "bench")),
+                          "unmatched"),
+         ((0.02, 0.09), (12.3, 5.78), 2.0, 2.5, (0.0, 1e-18), (0.01, 0.02)), {},
+         ((0.02, 0.09), (12.3, 5.78), 3.0, 2.5, (0.0, 1e-18), (0.01, 0.02))),
 ]
 
 

@@ -9,29 +9,58 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from flexmove import TimeSeries, load_trace, save_trace
+from flexmove import MotionSpec, TimeSeries, load_trace, save_trace, tip_trace
 from flexmove import timeseries
 from flexmove.timeseries import fmt, read_numeric_csv, write_csv
 
 
 class TestTimeSeries:
     def test_keeps_its_time_column_as_float64(self):
-        series = TimeSeries(rate=10.0, t=array("d", [0.5, 0.6, 0.7, 0.8]), values=range(4))
+        series = TimeSeries(t=array("d", [0.5, 0.6, 0.7, 0.8]), values=range(4))
         assert series.t.dtype == np.float64 and series.t.tolist() == [0.5, 0.6, 0.7, 0.8]
         assert series.values.dtype == np.float64
         assert len(series) == 4
 
     def test_rejects_time_column_of_other_length(self):
         with pytest.raises(ValueError, match="differ in length"):
-            TimeSeries(rate=1.0, t=np.arange(4.0), values=np.zeros(5))
+            TimeSeries(t=np.arange(4.0), values=np.zeros(5))
 
-    def test_rejects_bad_rate(self):
-        with pytest.raises(ValueError, match="rate"):
-            TimeSeries(rate=0.0, t=np.arange(5.0), values=np.zeros(5))
+    def test_rate_is_the_rate_of_its_time_column(self):
+        # the rate is not passed, so it cannot disagree with t: a 1 s grid is 1 Hz
+        series = TimeSeries([0, 1, 2, 3], [0.0, 1.0, 4.0, 9.0])
+        assert series.rate == 1.0
+        assert series.rate == timeseries.uniform_rate(series.t)
+
+    @pytest.mark.parametrize("t, message", [
+        ([0.3, 0.2, 0.1, 0.0], "strictly increasing"),
+        ([0.0, 0.0, 0.0, 0.0], "strictly increasing"),
+        ([0.0, 0.1, 0.25, 0.3], "non-uniform sampling"),
+        ([0.0, 0.1, np.nan, 0.3], "time column must hold finite numbers"),
+    ], ids=["decreasing", "constant", "jittered", "nan"])
+    def test_rejects_a_time_column_without_one_rate(self, t, message):
+        with pytest.raises(ValueError, match=message):
+            TimeSeries(t, np.zeros(4))
 
     def test_rejects_single_sample(self):
         with pytest.raises(ValueError, match="two samples"):
-            TimeSeries(rate=1.0, t=np.zeros(1), values=np.zeros(1))
+            TimeSeries(t=np.zeros(1), values=np.zeros(1))
+
+
+@pytest.mark.parametrize("rate", [1000.0, 1500.0, 333.3])
+def test_tip_trace_keeps_its_rate_through_the_csv(tmp_path, rate):
+    spec = MotionSpec(L=0.41, k=5.78, n=2.0, m=0.09)
+    series = tip_trace(spec, rate)
+    assert series.rate == pytest.approx(rate, rel=1e-12)
+    path = tmp_path / "tip.csv"
+    save_trace(path, series)
+    reloaded = load_trace(path)
+    # each stamp is written to 12 significant digits, so it moves by at most
+    # 5e-12 * t; a step, and so the median step, moves by at most 1e-11 * t1,
+    # which is 1e-11 * t1 * rate of the step
+    drift = abs(reloaded.rate / series.rate - 1.0)
+    assert drift <= 1e-11 * spec.t1 * rate
+    if rate == 1000.0:  # stamps i/1000 print exactly in 12 digits
+        assert drift <= 1e-11
 
 
 class TestCsvRoundTrip:
@@ -47,8 +76,7 @@ class TestCsvRoundTrip:
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
         rng = np.random.default_rng(3)
-        series = TimeSeries(rate=1500.0, t=np.arange(300) / 1500.0, values=rng.standard_normal(300),
-                            label="a_tip")
+        series = TimeSeries(t=np.arange(300) / 1500.0, values=rng.standard_normal(300), label="a_tip")
         save_trace(first, series)
         save_trace(second, load_trace(first))
         assert first.read_bytes() == second.read_bytes()
@@ -212,7 +240,7 @@ def test_write_csv_writes_any_array_dtype_as_float64(tmp_path_factory, columns):
 def test_save_trace_with_big_endian_t(tmp_path):
     t = np.arange(4) / 8.0
     path = tmp_path / "trace.csv"
-    save_trace(path, TimeSeries(rate=8.0, t=t.astype(">f8"), values=[1.0, 2.0, 3.0, 4.0]))
+    save_trace(path, TimeSeries(t=t.astype(">f8"), values=[1.0, 2.0, 3.0, 4.0]))
     assert path.read_text() == "t,value\n0,1\n0.125,2\n0.25,3\n0.375,4\n"
 
 
