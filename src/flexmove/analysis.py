@@ -42,10 +42,10 @@ class SweepRow(NamedTuple):
 class SweepResult(Record):
     """Residual amplitude and drive cost over a grid of period multiples."""
 
-    _fields = ("L", "k", "m", "rows")
+    _fields = ("rows",)
 
-    def __init__(self, L: float, k: float, m: float, rows: tuple[SweepRow, ...]) -> None:
-        self._set(L=L, k=k, m=m, rows=rows)
+    def __init__(self, rows: tuple[SweepRow, ...]) -> None:
+        self._set(rows=rows)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -84,7 +84,7 @@ def sweep_n(L: float, k: float, m: float, n_from: float, n_to: float,
         rows.append(SweepRow(n=n, t1=spec.t1, residual=_amplitude(spec),
                              energy=spec.drive_energy,
                              quiescent=spec.guarantees_quiescence))
-    return SweepResult(L=L, k=k, m=m, rows=tuple(rows))
+    return SweepResult(tuple(rows))
 
 
 def energy_figure(spec: MotionSpec, step: float | None = None) -> float:

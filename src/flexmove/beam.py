@@ -61,10 +61,12 @@ class BeamSpec(Record):
 
 
 def read_json_object(path, what: str) -> dict:
-    """Parse a JSON document that must be an object; malformed JSON raises ValueError."""
+    """Parse a JSON document that must be an object; a ValueError names the file."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: {what} is not valid JSON: {exc}") from None
         except RecursionError:  # the decoder recurses once per nested array or object
             raise ValueError(f"{path}: {what} is nested too deeply") from None
     if not isinstance(doc, dict):

@@ -10,6 +10,7 @@ phase shift: waveform features stay where they happened.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import NamedTuple
 
 from ._numpy import np
@@ -37,48 +38,41 @@ class Biquad(NamedTuple):
         return abs(self.a2) < 1.0 and abs(self.a1) < 1.0 + self.a2
 
 
-def _check_parameters(order: int, cutoff_hz: float, rate_hz: float) -> None:
-    if order not in ALLOWED_ORDERS:
-        raise ValueError(f"filter order must be one of {ALLOWED_ORDERS}, got {order}")
-    if not 0.0 < cutoff_hz < 0.5 * positive_finite("sample rate", rate_hz):
-        raise ValueError(
-            f"cutoff must lie strictly between 0 and the Nyquist frequency "
-            f"{0.5 * rate_hz:g} Hz, got {cutoff_hz:g} Hz")
-
-
 class FilterDesign(Record):
-    """Low-pass design as cascaded biquads, tied to one sample rate."""
+    """Butterworth low-pass as cascaded biquads, tied to one sample rate.
 
-    _fields = ("order", "cutoff_hz", "rate_hz", "sections")
-
-    def __init__(self, order: int, cutoff_hz: float, rate_hz: float,
-                 sections: tuple[Biquad, ...]) -> None:
-        _check_parameters(order, cutoff_hz, rate_hz)
-        if len(sections) != order // 2:
-            raise ValueError("cascade must hold order/2 sections")
-        if not all(sec.is_stable() for sec in sections):
-            raise ValueError("unstable section: poles must lie inside the unit circle")
-        self._set(order=order, cutoff_hz=cutoff_hz, rate_hz=rate_hz, sections=sections)
-
-
-def design_butterworth(order: int, cutoff_hz: float, rate_hz: float) -> FilterDesign:
-    """Butterworth low-pass as second-order sections (bilinear, prewarped).
-
-    Each analog pole pair with damping sin((2i+1)*pi/(2*order)) maps to one
-    biquad; every section has unit DC gain, so the cascade does too.
+    ``sections`` follow from the three fields and are never passed: each analog
+    pole pair with damping sin((2i+1)*pi/(2*order)) maps to one biquad of unit
+    DC gain (bilinear, prewarped), so the cascade has unit DC gain too.
     """
-    _check_parameters(order, cutoff_hz, rate_hz)
-    warp = math.tan(math.pi * cutoff_hz / rate_hz)
-    w2 = warp * warp
-    sections = []
-    for i in range(order // 2):
-        damp = math.sin(math.pi * (2 * i + 1) / (2 * order))
-        norm = w2 + 2.0 * warp * damp + 1.0
-        sections.append(Biquad(
-            b0=w2 / norm, b1=2.0 * w2 / norm, b2=w2 / norm,
-            a1=2.0 * (w2 - 1.0) / norm, a2=(w2 - 2.0 * warp * damp + 1.0) / norm))
-    return FilterDesign(order=order, cutoff_hz=cutoff_hz, rate_hz=rate_hz,
-                        sections=tuple(sections))
+
+    _fields = ("order", "cutoff_hz", "rate_hz")
+
+    def __init__(self, order: int, cutoff_hz: float, rate_hz: float) -> None:
+        if not isinstance(order, numbers.Integral) or order not in ALLOWED_ORDERS:
+            raise ValueError(f"filter order must be one of {ALLOWED_ORDERS}, got {order}")
+        if not 0.0 < cutoff_hz < 0.5 * positive_finite("sample rate", rate_hz):
+            raise ValueError(
+                f"cutoff must lie strictly between 0 and the Nyquist frequency "
+                f"{0.5 * rate_hz:g} Hz, got {cutoff_hz:g} Hz")
+        warp = math.tan(math.pi * cutoff_hz / rate_hz)
+        w2 = warp * warp
+        sections = []
+        for i in range(order // 2):
+            damp = math.sin(math.pi * (2 * i + 1) / (2 * order))
+            norm = w2 + 2.0 * warp * damp + 1.0
+            sections.append(Biquad(
+                b0=w2 / norm, b1=2.0 * w2 / norm, b2=w2 / norm,
+                a1=2.0 * (w2 - 1.0) / norm, a2=(w2 - 2.0 * warp * damp + 1.0) / norm))
+        if not all(sec.is_stable() for sec in sections):  # rounding, at a cutoff near 0 or Nyquist
+            raise ValueError(
+                f"unstable section: cutoff {float(cutoff_hz)!r} Hz at rate {float(rate_hz)!r} Hz "
+                f"puts a pole on or outside the unit circle")
+        self._set(order=order, cutoff_hz=cutoff_hz, rate_hz=rate_hz, sections=tuple(sections))
+
+
+#: the name the CLI and the scripts design by: the constructor itself, not a second route
+design_butterworth = FilterDesign
 
 
 def magnitude_response(design: FilterDesign, freq_hz):

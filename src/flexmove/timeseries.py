@@ -153,6 +153,8 @@ def _read_csv_checked(path, n_columns):
                                          f"on line {lineno}") from None
         except csv.Error as exc:
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return header, [np.asarray(col) for col in data]
 
 

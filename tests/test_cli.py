@@ -237,6 +237,22 @@ class TestFilter:
         assert code == 2
         assert "Nyquist" in stderr
 
+    @pytest.mark.parametrize("cutoff", ["1e-6", "749.9999999999"])
+    def test_a_cutoff_that_rounds_a_pole_onto_the_unit_circle_fails(self, tmp_path, capsys,
+                                                                      cutoff):
+        # full-precision stamps reload at 1500 Hz to within a bit, so that 749.9999999999 Hz
+        # stays below the Nyquist frequency; at 12 digits the rate reads 1499.99999992
+        inp = tmp_path / "input.csv"
+        t = np.arange(400) / 1500.0
+        inp.write_text("t,a_tip\n" + "".join(f"{x!r},{math.sin(x)!r}\n" for x in t.tolist()))
+        out = tmp_path / "filtered.csv"
+        code, _, stderr = run(capsys, "filter", "--in", str(inp), "--out", str(out),
+                              "--cutoff-hz", cutoff)
+        assert one_error_line(code, stderr), stderr
+        message = f"error: unstable section: cutoff {float(cutoff)!r} Hz at rate 1500"
+        assert stderr.startswith(message), stderr
+        assert not out.exists()
+
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "filter", "--in", str(tmp_path / "absent.csv"),
                               "--out", str(tmp_path / "x.csv"))
@@ -469,6 +485,32 @@ class TestMalformedInput:
                               *source, str(doc), "--out", str(tmp_path / "x.csv"))
         assert one_error_line(code, stderr), stderr
         assert "nested too deeply" in stderr
+
+    @pytest.mark.parametrize("kind", ["beam", "config", "trace"])
+    @pytest.mark.parametrize("fault", ["syntax", "not-utf-8"])
+    def test_an_unreadable_input_file_is_named(self, tmp_path, capsys, kind, fault):
+        content = {
+            ("beam", "syntax"): b'{"l": 0.305, ',
+            ("beam", "not-utf-8"): b'{"l": 0.305, "b": \x80}',
+            ("config", "syntax"): b'{"L": ',
+            ("config", "not-utf-8"): b'{"L": \x80}',
+            ("trace", "syntax"): b"t,a_tip\n0,0\n0.1,1,2\n",
+            ("trace", "not-utf-8"): b"t,a_tip\n0,0\n0.1,\x80\n",
+        }[kind, fault]
+        path = tmp_path / f"{kind}.input"
+        path.write_bytes(content)
+        out = tmp_path / "out.csv"
+        argv = {
+            "beam": ("plan", "--L", "0.41", "--beam", str(path), "--n", "2", "--mass", "0.09",
+                     "--out", str(out)),
+            "config": ("plan", "--L", "0.41", "--k", "5.78", "--n", "2", "--mass", "0.09",
+                       "--out", str(out), "--config", str(path)),
+            "trace": ("filter", "--in", str(path), "--out", str(out)),
+        }[kind]
+        code, _, stderr = run(capsys, *argv)
+        assert one_error_line(code, stderr), stderr
+        assert stderr.startswith(f"error: {path}: "), stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--n", "--unmatched-n"])
     def test_report_multiple_must_be_finite(self, capsys, beam_json, flag):

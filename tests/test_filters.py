@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flexmove import TimeSeries, design_butterworth, filtfilt, magnitude_response
+from flexmove import FilterDesign, TimeSeries, design_butterworth, filtfilt, magnitude_response
+from flexmove import filters
 from flexmove.filters import _cascade
 
 RATE = 1500.0
@@ -49,10 +51,14 @@ class TestDesign:
         # near the analog value 1/sqrt(1 + 2**8) at this rate
         assert magnitude_response(bench_design, 40.0) == pytest.approx(1 / math.sqrt(257), rel=1e-2)
 
-    @pytest.mark.parametrize("order", [1, 3, 5, 10, 0])
+    @pytest.mark.parametrize("order", [1, 3, 5, 10, 0, 4.0, np.float64(4.0)],
+                             ids=["1", "3", "5", "10", "0", "4.0", "np.float64(4.0)"])
     def test_bad_orders_rejected(self, order):
         with pytest.raises(ValueError, match="order"):
             design_butterworth(order, 20.0, RATE)
+
+    def test_a_numpy_integer_order_is_accepted(self, bench_design):
+        assert design_butterworth(np.int64(4), 20.0, RATE).sections == bench_design.sections
 
     @pytest.mark.parametrize("cutoff", [750.0, 800.0, 0.0, -5.0])
     def test_cutoff_outside_nyquist_rejected(self, cutoff):
@@ -75,6 +81,13 @@ class TestDesign:
         mags = magnitude_response(bench_design, freqs)
         assert np.all(np.diff(mags) <= 1e-12)
 
+    @pytest.mark.parametrize("order", [2, 4, 6, 8])
+    @pytest.mark.parametrize("cutoff", [1e-6, 749.9999999999])
+    def test_a_section_rounded_onto_the_unit_circle_is_rejected(self, order, cutoff):
+        message = f"unstable section: cutoff {cutoff!r} Hz at rate 1500.0 Hz"
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            design_butterworth(order, cutoff, RATE)
+
     @settings(max_examples=40, deadline=None)
     @given(order=st.sampled_from([2, 4, 6, 8]), ratio=st.floats(0.001, 0.49))
     def test_any_design_is_stable_with_unit_dc(self, order, ratio):
@@ -82,6 +95,97 @@ class TestDesign:
         assert all(sec.is_stable() for sec in design.sections)
         assert magnitude_response(design, 0.0) == pytest.approx(1.0, abs=1e-9)
         assert magnitude_response(design, ratio * RATE) == pytest.approx(1 / math.sqrt(2), abs=1e-6)
+
+
+class TestRecord:
+    def test_design_butterworth_is_the_constructor(self):
+        assert design_butterworth is FilterDesign
+
+    def test_sections_follow_the_cutoff(self):
+        design = FilterDesign(4, 25.0, RATE)
+        assert design.sections != FilterDesign(4, 20.0, RATE).sections
+        assert magnitude_response(design, 25.0) == pytest.approx(1 / math.sqrt(2), abs=1e-6)
+
+    def test_sections_are_not_an_argument(self, bench_design):
+        with pytest.raises(TypeError):
+            FilterDesign(4, 25.0, RATE, bench_design.sections)
+
+    def test_parameters_are_checked_once(self, monkeypatch):
+        calls, check = [], filters.positive_finite
+        monkeypatch.setattr(filters, "positive_finite",
+                            lambda name, value: calls.append(name) or check(name, value))
+        FilterDesign(4, 20.0, RATE)
+        assert calls == ["sample rate"]
+
+
+#: float.hex of every section coefficient (b0, b1, b2, a1, a2), recorded before the
+#: design moved into FilterDesign's constructor; keyed by (order, cutoff_hz) at 1500 Hz
+SECTION_BITS = {
+    (2, 20.0): (
+        ("0x1.b2020ff227d17p-10", "0x1.b2020ff227d17p-9", "0x1.b2020ff227d17p-10",
+         "-0x1.e1b3d142db67ap+0", "0x1.c6cba6a59b1edp-1"),
+    ),
+    (4, 20.0): (
+        ("0x1.bd6cace79f971p-10", "0x1.bd6cace79f971p-9", "0x1.bd6cace79f971p-10",
+         "-0x1.ee5f9acabc0e9p+0", "0x1.e03a0eef475c5p-1"),
+        ("0x1.aab3530c8f27cp-10", "0x1.aab3530c8f27cp-9", "0x1.aab3530c8f27cp-10",
+         "-0x1.d9977fbac7c58p+0", "0x1.b684661ba8a93p-1"),
+    ),
+    (6, 20.0): (
+        ("0x1.c1f17ec7bff97p-10", "0x1.c1f17ec7bff97p-9", "0x1.c1f17ec7bff97p-10",
+         "-0x1.f3638cf6be66fp+0", "0x1.ea4afceb0c4dbp-1"),
+        ("0x1.b2020ff227d17p-10", "0x1.b2020ff227d17p-9", "0x1.b2020ff227d17p-10",
+         "-0x1.e1b3d142db67ap+0", "0x1.c6cba6a59b1edp-1"),
+        ("0x1.a94fbce6cc42ap-10", "0x1.a94fbce6cc42ap-9", "0x1.a94fbce6cc42ap-10",
+         "-0x1.d80cd60676be6p+0", "0x1.b36c4b86bb153p-1"),
+    ),
+    (8, 20.0): (
+        ("0x1.c44de06242f76p-10", "0x1.c44de06242f76p-9", "0x1.c44de06242f76p-10",
+         "-0x1.f602595b25dd5p+0", "0x1.ef8d4e7710409p-1"),
+        ("0x1.b7445421a9586p-10", "0x1.b7445421a9586p-9", "0x1.b7445421a9586p-10",
+         "-0x1.e78a075b94aacp+0", "0x1.d282975f6ca83p-1"),
+        ("0x1.adc90ee3528eap-10", "0x1.adc90ee3528eap-9", "0x1.adc90ee3528eap-10",
+         "-0x1.dd0404cbc09c7p+0", "0x1.bd639bb547de0p-1"),
+        ("0x1.a8d29fc80205ep-10", "0x1.a8d29fc80205ep-9", "0x1.a8d29fc80205ep-10",
+         "-0x1.d781f922b683ep+0", "0x1.b2559784fd0bdp-1"),
+    ),
+    (2, 700.0): (
+        ("0x1.b97fa04a7c240p-1", "0x1.b97fa04a7c240p+0", "0x1.b97fa04a7c240p-1",
+         "0x1.b49f10bebc064p+0", "0x1.7cc05fac78838p-1"),
+    ),
+    (4, 700.0): (
+        ("0x1.d5155dae2c5bbp-1", "0x1.d5155dae2c5bbp+0", "0x1.d5155dae2c5bbp-1",
+         "0x1.cfe6cb7d16180p+0", "0x1.b487dfbe853edp-1"),
+        ("0x1.a8ce80939a4aap-1", "0x1.a8ce80939a4aap+0", "0x1.a8ce80939a4aap-1",
+         "0x1.a41d2573e1a63p+0", "0x1.5affb766a5de4p-1"),
+    ),
+    (6, 700.0): (
+        ("0x1.e08bfd8488778p-1", "0x1.e08bfd8488778p+0", "0x1.e08bfd8488778p-1",
+         "0x1.db3d00307434cp+0", "0x1.cbb5f5b139747p-1"),
+        ("0x1.b97fa04a7c240p-1", "0x1.b97fa04a7c240p+0", "0x1.b97fa04a7c240p-1",
+         "0x1.b49f10bebc064p+0", "0x1.7cc05fac78838p-1"),
+        ("0x1.a5b6cee8e828fp-1", "0x1.a5b6cee8e828fp+0", "0x1.a5b6cee8e828fp-1",
+         "0x1.a10e32b3a05ddp+0", "0x1.54bed63c5fe82p-1"),
+    ),
+    (8, 700.0): (
+        ("0x1.e6aa75cbfb943p-1", "0x1.e6aa75cbfb943p+0", "0x1.e6aa75cbfb943p-1",
+         "0x1.e14a2a7b45a11p+0", "0x1.d8158239630eap-1"),
+        ("0x1.c5f7d78aa2038p-1", "0x1.c5f7d78aa2038p+0", "0x1.c5f7d78aa2038p-1",
+         "0x1.c0f404637db25p+0", "0x1.95f755638ca95p-1"),
+        ("0x1.afc3f86cf6696p-1", "0x1.afc3f86cf6696p+0", "0x1.afc3f86cf6696p-1",
+         "0x1.aafeef4c598a6p+0", "0x1.6912031b2690dp-1"),
+        ("0x1.a4a1c484fb89ap-1", "0x1.a4a1c484fb89ap+0", "0x1.a4a1c484fb89ap-1",
+         "0x1.9ffc37c8ae48bp+0", "0x1.528ea28291952p-1"),
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(SECTION_BITS), ids=lambda key: f"order{key[0]}-{key[1]:g}Hz")
+def test_section_bits(key):
+    order, cutoff = key
+    found = tuple(tuple(float.hex(c) for c in sec)
+                  for sec in design_butterworth(order, cutoff, RATE).sections)
+    assert found == SECTION_BITS[key]
 
 
 def numpy_scalar_biquad_pass(sec, x):

@@ -1,9 +1,15 @@
-"""The README's Python examples run as written, so the documented API cannot drift."""
+"""The README's examples run as written, so the documented API and CLI cannot drift."""
 
+import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from conftest import BENCH, BENCH_BEAM
+from flexmove import MotionSpec, save_trace, tip_trace
+from flexmove.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 TEXT = README.read_text(encoding="utf-8")
@@ -11,6 +17,10 @@ TEXT = README.read_text(encoding="utf-8")
 #: (first line of the code in README.md, code) of each ```python block
 BLOCKS = [(TEXT.count("\n", 0, match.start()) + 2, match.group(1))
           for match in re.finditer(r"^```python\n(.*?)^```$", TEXT, re.MULTILINE | re.DOTALL)]
+
+#: every `flexmove ...` line of the plain ``` blocks (the CLI and experiment examples)
+COMMANDS = [line for match in re.finditer(r"^```\n(.*?)^```$", TEXT, re.MULTILINE | re.DOTALL)
+            for line in match.group(1).splitlines() if line.startswith("flexmove ")]
 
 
 def test_the_readme_has_python_examples():
@@ -23,3 +33,16 @@ def test_readme_example_runs(tmp_path, monkeypatch, line, source):
     # a traceback points at the README line
     monkeypatch.chdir(tmp_path)
     exec(compile("\n" * (line - 1) + source, str(README), "exec"), {"__name__": "readme"})
+
+
+def test_the_readme_has_cli_examples():
+    assert len(COMMANDS) >= 7
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_readme_command_runs(tmp_path, monkeypatch, capsys, command):
+    # the files the examples read: the bench beam and the bench move's tip trace
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "beam.json").write_text(json.dumps(BENCH_BEAM))
+    save_trace("tip.csv", tip_trace(MotionSpec(**BENCH), 1500.0))
+    assert main(shlex.split(command)[1:]) == 0, capsys.readouterr().err
