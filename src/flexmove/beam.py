@@ -65,7 +65,7 @@ def read_json_object(path, what: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # bad syntax, bad UTF-8, an integer past the digit limit
             raise ValueError(f"{path}: {what} is not valid JSON: {exc}") from None
         except RecursionError:  # the decoder recurses once per nested array or object
             raise ValueError(f"{path}: {what} is nested too deeply") from None

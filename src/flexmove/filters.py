@@ -54,7 +54,7 @@ class FilterDesign(Record):
         if not 0.0 < cutoff_hz < 0.5 * positive_finite("sample rate", rate_hz):
             raise ValueError(
                 f"cutoff must lie strictly between 0 and the Nyquist frequency "
-                f"{0.5 * rate_hz:g} Hz, got {cutoff_hz:g} Hz")
+                f"{0.5 * rate_hz!r} Hz, got {float(cutoff_hz)!r} Hz")
         warp = math.tan(math.pi * cutoff_hz / rate_hz)
         w2 = warp * warp
         sections = []
@@ -112,8 +112,8 @@ def filtfilt(design: FilterDesign, series: TimeSeries) -> TimeSeries:
 
     Both ends are extended with odd reflections (PAD_FACTOR * order samples
     each) before filtering and trimmed afterwards, which keeps boundary
-    transients out of the returned signal.  A finite signal that overflows on
-    the way, in the padding or in the cascade, raises ValueError.
+    transients out of the returned signal.  A signal that overflows on the way,
+    in the padding or in the cascade, raises ValueError.
     """
     if not math.isclose(series.rate, design.rate_hz, rel_tol=1e-6):
         raise ValueError(
@@ -128,7 +128,7 @@ def filtfilt(design: FilterDesign, series: TimeSeries) -> TimeSeries:
         _cascade(design.sections, y)
         _cascade(design.sections, y[::-1])
     values = y[pad:-pad]
-    if not np.isfinite(values).all() and np.isfinite(x).all():
+    if not np.isfinite(values).all():  # a TimeSeries is finite, so this is an overflow
         raise ValueError(f"filtering overflows the float range: the values reach "
                          f"{float(np.max(np.abs(x))):.6g}; scale them down")
     return TimeSeries(series.t, values, series.label)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-from array import array
 from itertools import chain, islice
 
 from ._numpy import np
@@ -16,10 +15,6 @@ CSV_DIGITS = 12
 #: rows formatted per string operation by write_csv
 _WRITE_ROWS = 1024
 
-#: memoryview formats that read as Python numbers: native byte order, no half or
-#: extended floats
-_NATIVE_FORMATS = frozenset("?bBhHiIlLqQnNfd")
-
 
 def fmt(x: float) -> str:
     """Format a float with CSV_DIGITS significant digits."""
@@ -29,13 +24,15 @@ def fmt(x: float) -> str:
 class TimeSeries(Record):
     """A scalar signal sampled at a fixed rate.
 
+    The one place a series is checked: a ValueError names the rule it breaks.
+
     Attributes
     ----------
     t : np.ndarray
         Sample times [s], uniformly spaced and as given: a loaded trace keeps its
         file's column, so it writes back byte identically.
     values : np.ndarray
-        The samples, at least two of them.
+        The samples, at least two of them, all finite.
     label : str
         Column name used when the series is written to CSV.
     rate : float
@@ -51,7 +48,10 @@ class TimeSeries(Record):
             raise ValueError("a time series needs at least two samples")
         if t.shape != values.shape:
             raise ValueError("time and value columns differ in length")
-        self._set(t=t, values=values, label=label, rate=uniform_rate(t))
+        rate = uniform_rate(t)
+        if not np.isfinite(values).all():
+            raise ValueError("value column must hold finite numbers")
+        self._set(t=t, values=values, label=label, rate=rate)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -59,13 +59,8 @@ class TimeSeries(Record):
 
 def _cells(column):
     """A column as write_csv zips it: a list or tuple as it is, anything else
-    through a memoryview, which yields Python numbers one at a time.  An array of
-    a dtype a memoryview cannot read (byte-swapped, half or extended precision)
-    becomes float64 cell by cell, as the % operator would convert it."""
-    if isinstance(column, (list, tuple)):
-        return column
-    view = memoryview(column)
-    return view if view.format in _NATIVE_FORMATS else array("d", map(float, column))
+    through a memoryview, which yields Python numbers one at a time."""
+    return column if isinstance(column, (list, tuple)) else memoryview(column)
 
 
 def write_csv(path, header, columns) -> None:
@@ -162,30 +157,30 @@ def _read_csv_checked(path, n_columns):
 JITTER_TOL = 1e-3
 
 
-def uniform_rate(t: np.ndarray, context: str = "trace") -> float:
+def uniform_rate(t: np.ndarray) -> float:
     """Sample rate inferred from the median time step; rejects jittered time steps."""
     if len(t) < 2:
-        raise ValueError(f"{context} must contain at least two rows")
+        raise ValueError("a time series needs at least two samples")
     if not np.isfinite(t).all():
-        raise ValueError(f"{context}: time column must hold finite numbers")
+        raise ValueError("time column must hold finite numbers")
     steps = np.diff(t)
     median = float(np.median(steps))
     if median <= 0.0:
-        raise ValueError(f"{context}: time column must be strictly increasing")
+        raise ValueError("time column must be strictly increasing")
     if np.max(np.abs(steps - median)) > JITTER_TOL * median:
         raise ValueError(
-            f"{context}: non-uniform sampling, time steps deviate more than "
+            "non-uniform sampling, time steps deviate more than "
             f"{100 * JITTER_TOL:g} % from the median step {median:.6g} s")
     return 1.0 / median
 
 
 def load_trace(path) -> TimeSeries:
-    """Read a two-column `t,<value>` CSV into a TimeSeries."""
+    """Read a two-column `t,<value>` CSV into a TimeSeries; a ValueError names the file."""
     header, (t, values) = read_numeric_csv(path, n_columns=2)
-    uniform_rate(t, context=f"{path}")  # the TimeSeries checks t again, without the file name
-    if not np.isfinite(values).all():
-        raise ValueError(f"{path}: value column must hold finite numbers")
-    return TimeSeries(t, values, header[1])
+    try:
+        return TimeSeries(t, values, header[1])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_trace(path, series: TimeSeries) -> None:

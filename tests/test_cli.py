@@ -512,6 +512,37 @@ class TestMalformedInput:
         assert stderr.startswith(f"error: {path}: "), stderr
         assert not out.exists()
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python has no integer digit limit")
+    @pytest.mark.parametrize("kind", ["beam", "config"])
+    def test_an_integer_past_the_digit_limit_is_named(self, tmp_path, capsys, kind):
+        # a 5001-digit integer: the JSON decoder's int() refuses it past the 4300-digit limit
+        path = tmp_path / f"{kind}.json"
+        path.write_text('{"%s": 1%s}' % ({"beam": "l", "config": "L"}[kind], "0" * 5000))
+        out = tmp_path / "out.csv"
+        source = {"beam": ("--beam", str(path)), "config": ("--k", "5.78", "--config", str(path))}
+        code, _, stderr = run(capsys, "plan", "--L", "0.41", "--n", "2", "--mass", "0.09",
+                              "--out", str(out), *source[kind])
+        assert one_error_line(code, stderr), stderr
+        assert stderr.startswith(f"error: {path}: "), stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0,0\n", "a time series needs at least two samples"),
+        ("0,0\nnan,1\n0.02,2\n", "time column must hold finite numbers"),
+        ("0.02,0\n0.01,1\n0,2\n", "time column must be strictly increasing"),
+        ("0,0\n0.01,1\n0.025,2\n0.03,3\n",
+         "non-uniform sampling, time steps deviate more than 0.1 % from the median step 0.01 s"),
+        ("0,0\n0.01,inf\n0.02,2\n", "value column must hold finite numbers"),
+    ], ids=["one-row", "nan-stamp", "decreasing", "jittered", "inf-value"])
+    def test_a_bad_trace_is_named_with_its_fault(self, tmp_path, capsys, rows, message):
+        inp = tmp_path / "trace.csv"
+        inp.write_text("t,a_tip\n" + rows)
+        out = tmp_path / "x.csv"
+        code, stdout, stderr = run(capsys, "filter", "--in", str(inp), "--out", str(out))
+        assert stderr == f"error: {inp}: {message}\n"
+        assert (code, stdout) == (2, "") and not out.exists()
+
     @pytest.mark.parametrize("flag", ["--n", "--unmatched-n"])
     def test_report_multiple_must_be_finite(self, capsys, beam_json, flag):
         code, _, stderr = run(capsys, "report", "--beam", beam_json, "--masses", "0.09",

@@ -65,6 +65,13 @@ class TestDesign:
         with pytest.raises(ValueError, match="Nyquist"):
             design_butterworth(4, cutoff, RATE)
 
+    def test_the_nyquist_error_tells_its_two_numbers_apart(self):
+        # formatted with :g, both numbers read 750 Hz
+        message = ("cutoff must lie strictly between 0 and the Nyquist frequency "
+                   "749.999999625 Hz, got 749.9999999999 Hz")
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            FilterDesign(4, 749.9999999999, 1499.99999925)
+
     @pytest.mark.parametrize("rate", [math.inf, math.nan])
     def test_non_finite_rate_rejected(self, rate):
         with pytest.raises(ValueError, match="^sample rate must be a positive finite number"):
