@@ -65,8 +65,12 @@ def read_json_object(path, what: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:  # bad syntax, bad UTF-8, an integer past the digit limit
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"{path}: {what} is not valid JSON: {exc}") from None
+        except ValueError as exc:  # int() of a literal past sys.get_int_max_str_digits()
+            raise ValueError(
+                f"{path}: {what} holds an integer longer than this Python converts: {exc}"
+            ) from None
         except RecursionError:  # the decoder recurses once per nested array or object
             raise ValueError(f"{path}: {what} is nested too deeply") from None
     if not isinstance(doc, dict):

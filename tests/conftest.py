@@ -1,8 +1,10 @@
+import math
 import os
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 import flexmove
 from flexmove import BeamSpec, MotionSpec
@@ -25,6 +27,16 @@ with warnings.catch_warnings():
 BENCH = dict(L=0.41, k=5.78, n=2.0, m=0.09)
 
 BENCH_BEAM = dict(l=0.305, b=0.013, h=0.5e-3, E=2.1e11, m_tip=0.09)
+
+TWO_PI = 2.0 * math.pi
+
+_L, _K, _N = st.floats(0.1, 2.0), st.floats(1.0, 50.0), st.integers(2, 10)
+
+#: (L, k, n) of a strict move in C2's domain
+spec_params = st.tuples(_L, _K, _N)
+
+#: (L, k, n, m): the same with a mass
+spec_params_with_mass = st.tuples(_L, _K, _N, st.floats(0.01, 1.0))
 
 
 def child_env() -> dict:

@@ -1,0 +1,151 @@
+"""Independent routes the tests check flexmove against, each written once.
+
+- ``rk4``: the RK4 loop of ``integrate`` on numpy operands.  With scalar k and
+  t_end it runs on numpy scalars; with arrays it steps one oscillator per
+  element in lockstep, as ``lockstep`` does for a list of specs.
+- ``numpy_scalar_biquad_pass`` and ``numpy_scalar_cascade``: the filter
+  cascade as a loop over numpy scalars.
+- ``relative_motion``, ``end_state`` and ``figures``: the paper's closed forms
+  in mpmath at DPS digits, from the spec's float inputs taken as exact.
+
+The package does not ship this module; it is test code only.
+"""
+
+import mpmath
+import numpy as np
+
+#: decimal digits of the mpmath closed forms
+DPS = 50
+
+#: RK4 steps per evaluation of the forcing
+BLOCK_STEPS = 500
+
+
+def rk4(forcing, k, t_end, n_steps, x0=0.0, v0=0.0, stride=1):
+    """Classical RK4 of x'' + k**2 * x = -forcing(t) on the grid t_end*i/n_steps.
+
+    The grid, the step midpoints and the stage formulas are those of
+    ``integrate``, so a scalar run equals ``integrate`` bit for bit.  With arrays
+    k and t_end (and x0, v0 broadcast to them) each element is one oscillator,
+    and ``forcing`` maps an array of times, one column per oscillator, to the
+    forcing there.  The forcing is evaluated once per block of BLOCK_STEPS
+    steps.  Returns the times, x and v at every ``stride``-th node, node 0 and
+    the last node included.
+    """
+    if n_steps % stride:
+        raise ValueError("stride must divide n_steps")
+    k, t_end = np.asarray(k, dtype=float)[()], np.asarray(t_end, dtype=float)[()]
+    shape = np.broadcast_shapes(np.shape(k), np.shape(t_end))
+    x = np.full(shape, x0, dtype=float)[()]  # a numpy scalar for one oscillator
+    v = np.full(shape, v0, dtype=float)[()]
+    h = t_end / n_steps
+    # -ksq * x and 0.5 * h * k1v multiply left to right, so their first factors
+    # are formed once, as integrate forms them
+    nksq, half = -k * k, 0.5 * h
+    block = stride * -(-BLOCK_STEPS // stride)  # blocks end on kept nodes
+    xs = np.empty((n_steps // stride + 1,) + shape)
+    vs = np.empty_like(xs)
+    xs[0], vs[0] = x, v
+    for start in range(0, n_steps, block):
+        stop = min(start + block, n_steps)
+        times = np.multiply.outer(np.arange(start, stop + 1), t_end) / n_steps
+        mids = 0.5 * (times[:-1] + times[1:])
+        u_nodes = np.broadcast_to(np.asarray(forcing(times), dtype=float), times.shape)
+        u_mids = np.broadcast_to(np.asarray(forcing(mids), dtype=float), mids.shape)
+        xb, vb = np.empty(times.shape), np.empty(times.shape)
+        for j in range(stop - start):
+            u0, um, u1 = u_nodes[j], u_mids[j], u_nodes[j + 1]
+            k1x = v
+            k1v = nksq * x - u0
+            k2x = v + half * k1v
+            k2v = nksq * (x + half * k1x) - um
+            k3x = v + half * k2v
+            k3v = nksq * (x + half * k2x) - um
+            k4x = v + h * k3v
+            k4v = nksq * (x + h * k3x) - u1
+            x = x + h * (k1x + 2.0 * (k2x + k3x) + k4x) / 6.0
+            v = v + h * (k1v + 2.0 * (k2v + k3v) + k4v) / 6.0
+            xb[j + 1] = x
+            vb[j + 1] = v
+        kept = slice(start // stride + 1, stop // stride + 1)
+        xs[kept], vs[kept] = xb[stride::stride], vb[stride::stride]
+    times = np.multiply.outer(np.arange(0, n_steps + 1, stride), t_end) / n_steps
+    return times, xs, vs
+
+
+def lockstep(specs, n_steps, stride=1):
+    """``rk4`` of the relative motion of every spec in lockstep, one column per spec,
+    with the forcing peak_acceleration * sin(p*t) formed as ``simulate_relative``
+    forms it."""
+    peak, p, k, t1 = (np.array([getattr(spec, name) for spec in specs])
+                      for name in ("peak_acceleration", "p", "k", "t1"))
+    return rk4(lambda t: peak * np.sin(p * t), k, t1, n_steps, stride=stride)
+
+
+def numpy_scalar_biquad_pass(sec, x):
+    """The section loop as it ran on numpy scalars into a preallocated array."""
+    b0, b1, b2, a1, a2 = sec.b0, sec.b1, sec.b2, sec.a1, sec.a2
+    y = np.empty_like(x)
+    z1 = 0.0
+    z2 = 0.0
+    for i, xi in enumerate(x):
+        yi = b0 * xi + z1
+        z1 = b1 * xi + z2 - a1 * yi
+        z2 = b2 * xi - a2 * yi
+        y[i] = yi
+    return y
+
+
+def numpy_scalar_cascade(sections, x):
+    """The cascade on numpy scalars into fresh arrays: the deviation from the
+    first sample through each section's loop, then the offset back."""
+    offset = x[0]
+    y = x - offset
+    for sec in sections:
+        y = numpy_scalar_biquad_pass(sec, y)
+    return y + offset
+
+
+def _inputs(spec):
+    """L, k, n, m and p = k/n as mpf; call inside mpmath.workdps."""
+    L, k, n, m = map(mpmath.mpf, (spec.L, spec.k, spec.n, spec.m))
+    return L, k, n, m, k / n
+
+
+def _gain(L, k, p):
+    """The common gain L*p**2 / (2*pi*(k**2 - p**2)) of the relative motion."""
+    return L * p**2 / (2 * mpmath.pi * (k**2 - p**2))
+
+
+def relative_motion(spec, times):
+    """Rows x, v and a of the relative motion at each float time, as floats."""
+    with mpmath.workdps(DPS):
+        L, k, _, _, p = _inputs(spec)
+        gain = _gain(L, k, p)
+        return np.array([[float(gain * (p / k * mpmath.sin(k * t) - mpmath.sin(p * t))),
+                          float(gain * p * (mpmath.cos(k * t) - mpmath.cos(p * t))),
+                          float(gain * p * (p * mpmath.sin(p * t) - k * mpmath.sin(k * t)))]
+                         for t in map(mpmath.mpf, times)]).T
+
+
+def end_state(spec):
+    """x and v at t1 = 2*pi*n/k and the amplitude sqrt(x**2 + (v/k)**2), as floats."""
+    with mpmath.workdps(DPS):
+        L, k, n, _, p = _inputs(spec)
+        gain = _gain(L, k, p)
+        x = gain * (p / k) * mpmath.sin(2 * mpmath.pi * n)
+        v = gain * p * (mpmath.cos(2 * mpmath.pi * n) - 1)
+        return float(x), float(v), float(mpmath.hypot(x, v / k))
+
+
+def figures(spec):
+    """t1, peak_acceleration, action and drive_energy of a spec, each rounded once
+    to a float, keyed by the MotionSpec attribute that holds it."""
+    with mpmath.workdps(DPS):
+        L, _, _, m, p = _inputs(spec)
+        pi = mpmath.pi
+        values = {"t1": 2 * pi / p,
+                  "peak_acceleration": L * p**2 / (2 * pi),
+                  "action": m * L**2 * p * (pi / 3 + 1 / (4 * pi)),
+                  "drive_energy": m * (L * p / pi) ** 2}
+        return {name: float(value) for name, value in values.items()}

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import BENCH
 from flexmove import (MotionSpec, amplitude_table, energy_figure, residual_report,
                       simpson_grid, suppression_ratio, sweep_n)
@@ -91,8 +92,7 @@ class TestEnergyFigure:
     def test_bench_value_and_analytic_form(self, bench_spec):
         value = energy_figure(bench_spec)
         assert value == pytest.approx(BENCH_ENERGY, rel=1e-9)
-        analytic = bench_spec.m * bench_spec.L**2 * bench_spec.p**2 / math.pi**2
-        assert value == pytest.approx(analytic, rel=1e-9)
+        assert value == pytest.approx(reference.figures(bench_spec)["drive_energy"], rel=1e-9)
 
     def test_positive_and_quadrature_stable(self, bench_spec):
         step = bench_spec.t1 / 100_000
@@ -117,7 +117,7 @@ class TestEnergyFigure:
         # falls inside a Simpson panel and costs ~7e-10 relative
         spec = MotionSpec(L=0.41, k=6.0, n=2.0, m=0.09)
         assert len(simpson_grid(spec.t1, spec.t1 / 100_000)) == 100_001
-        closed_form = spec.m * (spec.L * spec.p / math.pi) ** 2
+        closed_form = reference.figures(spec)["drive_energy"]
         assert energy_figure(spec) == pytest.approx(closed_form, rel=1e-14)
 
     @settings(max_examples=30, deadline=None)

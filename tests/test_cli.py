@@ -524,7 +524,10 @@ class TestMalformedInput:
         code, _, stderr = run(capsys, "plan", "--L", "0.41", "--n", "2", "--mass", "0.09",
                               "--out", str(out), *source[kind])
         assert one_error_line(code, stderr), stderr
-        assert stderr.startswith(f"error: {path}: "), stderr
+        what = {"beam": "beam document", "config": "config"}[kind]
+        assert stderr.startswith(
+            f"error: {path}: {what} holds an integer longer than this Python converts: "
+            "Exceeds the limit"), stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("rows, message", [

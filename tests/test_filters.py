@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from flexmove import FilterDesign, TimeSeries, design_butterworth, filtfilt, magnitude_response
 from flexmove import filters
 from flexmove.filters import _cascade
+from reference import numpy_scalar_cascade
 
 RATE = 1500.0
 
@@ -193,30 +194,6 @@ def test_section_bits(key):
     found = tuple(tuple(float.hex(c) for c in sec)
                   for sec in design_butterworth(order, cutoff, RATE).sections)
     assert found == SECTION_BITS[key]
-
-
-def numpy_scalar_biquad_pass(sec, x):
-    """The section loop as it ran on numpy scalars into a preallocated array."""
-    b0, b1, b2, a1, a2 = sec.b0, sec.b1, sec.b2, sec.a1, sec.a2
-    y = np.empty_like(x)
-    z1 = 0.0
-    z2 = 0.0
-    for i, xi in enumerate(x):
-        yi = b0 * xi + z1
-        z1 = b1 * xi + z2 - a1 * yi
-        z2 = b2 * xi - a2 * yi
-        y[i] = yi
-    return y
-
-
-def numpy_scalar_cascade(sections, x):
-    """The cascade on numpy scalars into fresh arrays: the deviation from the
-    first sample through each section's loop, then the offset back."""
-    offset = x[0]
-    y = x - offset
-    for sec in sections:
-        y = numpy_scalar_biquad_pass(sec, y)
-    return y + offset
 
 
 def cascaded_in_place(sections, x, reverse=False):

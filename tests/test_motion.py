@@ -6,23 +6,22 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import BENCH
+import reference
+from conftest import BENCH, TWO_PI, spec_params_with_mass
 from flexmove import MotionSpec, simpson_grid, timing_residual
 from flexmove import motion
 from flexmove.motion import simpson
 from flexmove.timeseries import read_numeric_csv, uniform_rate
 
-TWO_PI = 2.0 * math.pi
-
 # Frozen from t1 = 2*pi*n/k with the bench numbers (L=0.41, k=5.78, n=2).
 BENCH_T1 = 2.174112563037919
 
-spec_params = st.tuples(
-    st.floats(0.1, 2.0),          # L
-    st.floats(1.0, 50.0),         # k
-    st.integers(2, 10),           # n
-    st.floats(0.01, 1.0),         # m
-)
+# Each closed-form figure is a short chain of roundings, each within 2**-53
+# relative.  The longest, the drive energy m*(L*p/pi)**2, counts ten (pi's own
+# and the doubling by the square included), so every figure lies within
+# 5 * 2**-52 of its exact value; the bound leaves room for the reference's own
+# rounding to a float.
+FIGURE_ULPS = 8
 
 
 def make(params, **kw):
@@ -99,6 +98,14 @@ class TestSpecConstruction:
         assert bench_spec.action == m * L**2 * p * (math.pi / 3.0 + 1.0 / (4.0 * math.pi))
         assert bench_spec.drive_energy == m * (L * p / math.pi) ** 2
 
+    @settings(max_examples=200, deadline=None)
+    @given(L=st.floats(1e-3, 1e3), k=st.floats(1e-3, 1e4), n=st.integers(2, 50),
+           m=st.floats(1e-3, 1e3))
+    def test_closed_form_figures_match_mpmath(self, L, k, n, m):
+        spec = MotionSpec(L=L, k=k, n=float(n), m=m)
+        for name, exact in reference.figures(spec).items():
+            assert abs(getattr(spec, name) - exact) <= FIGURE_ULPS * 2**-52 * exact, name
+
     @pytest.mark.parametrize("params,figure", [
         (dict(BENCH, L=1e200), "the action"),
         (dict(BENCH, m=1e307, L=10.0), "the action"),
@@ -156,7 +163,7 @@ class TestMotionLaw:
         assert s[3] == bench_spec.position(float(t[3]))
 
     @settings(max_examples=60, deadline=None)
-    @given(params=spec_params)
+    @given(params=spec_params_with_mass)
     def test_boundary_conditions(self, params):
         spec = make(params)
         v_scale = spec.L * spec.p / math.pi
@@ -169,7 +176,7 @@ class TestMotionLaw:
         assert abs(spec.acceleration(spec.t1)) <= 1e-12 * a_scale
 
     @settings(max_examples=60, deadline=None)
-    @given(params=spec_params, frac=st.floats(0.0, 1.0))
+    @given(params=spec_params_with_mass, frac=st.floats(0.0, 1.0))
     def test_symmetries(self, params, frac):
         spec = make(params)
         t = frac * spec.t1

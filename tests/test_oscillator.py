@@ -1,19 +1,19 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+import reference
+from conftest import TWO_PI, spec_params
 from flexmove import oscillator
 from flexmove import (MotionSpec, action_value, euler_lagrange_residual,
                       final_relative_state, integrate, relative_motion,
                       residual_report, simulate_relative, tip_trace,
                       write_relative_trace)
 from flexmove.timeseries import read_numeric_csv
-
-TWO_PI = 2.0 * math.pi
+from test_acceptance import ORACLE_TOL
 
 # Frozen oracle values for the bench move (L=0.41, k=5.78, n=2, m=0.09):
 # quarter-move deflection equals minus the common gain L*p^2/(2*pi*(k^2-p^2)),
@@ -25,13 +25,6 @@ BENCH_ACTION = 0.04926577023211798
 # Frozen closed-form residual amplitudes for mistimed bench moves.
 AMP_N_2_5 = 0.009943394539836512
 AMP_N_10_5 = 0.00011376881624526895
-
-spec_params = st.tuples(
-    st.floats(0.1, 2.0),
-    st.floats(1.0, 50.0),
-    st.integers(2, 10),
-)
-
 
 class TestClosedForm:
     def test_strict_move_ends_at_rest(self, bench_spec):
@@ -73,46 +66,9 @@ class TestClosedForm:
         # interior t; each column is held to 1e-12 of its largest value over the move
         spec = MotionSpec(L=0.41, k=5.78, n=1.0 + eps, m=0.09, exploratory=True)
         times = spec.t1 * np.arange(1, 42) / 42
-        with mpmath.workdps(50):
-            n, L, k = mpmath.mpf(spec.n), mpmath.mpf(spec.L), mpmath.mpf(spec.k)
-            p = k / n
-            gain = L * p**2 / (2 * mpmath.pi * (k**2 - p**2))
-            ref = np.array([[float(gain * (p / k * mpmath.sin(k * t) - mpmath.sin(p * t))),
-                             float(gain * p * (mpmath.cos(k * t) - mpmath.cos(p * t))),
-                             float(gain * p * (p * mpmath.sin(p * t) - k * mpmath.sin(k * t)))]
-                            for t in map(mpmath.mpf, times)]).T
+        ref = reference.relative_motion(spec, times)
         error = np.abs(np.array(relative_motion(spec, times)) - ref).max(axis=1)
         assert (error <= 1e-12 * np.abs(ref).max(axis=1)).all(), error
-
-
-def numpy_scalar_integrate(forcing, k, t_end, step, initial_state=(0.0, 0.0)):
-    """The RK4 loop of integrate as it ran on numpy scalars into preallocated arrays."""
-    n_steps = max(1, math.ceil(t_end / step - 1e-9))
-    times = t_end * np.arange(n_steps + 1) / n_steps
-    mids = 0.5 * (times[:-1] + times[1:])
-    u_nodes = np.broadcast_to(np.asarray(forcing(times), dtype=float), times.shape)
-    u_mids = np.broadcast_to(np.asarray(forcing(mids), dtype=float), mids.shape)
-    h = t_end / n_steps
-    ksq = k * k
-    xs = np.empty(n_steps + 1)
-    vs = np.empty(n_steps + 1)
-    x, v = float(initial_state[0]), float(initial_state[1])
-    xs[0], vs[0] = x, v
-    for i in range(n_steps):
-        u0, um, u1 = u_nodes[i], u_mids[i], u_nodes[i + 1]
-        k1x = v
-        k1v = -ksq * x - u0
-        k2x = v + 0.5 * h * k1v
-        k2v = -ksq * (x + 0.5 * h * k1x) - um
-        k3x = v + 0.5 * h * k2v
-        k3v = -ksq * (x + 0.5 * h * k2x) - um
-        k4x = v + h * k3v
-        k4v = -ksq * (x + h * k3x) - u1
-        x += h * (k1x + 2.0 * (k2x + k3x) + k4x) / 6.0
-        v += h * (k1v + 2.0 * (k2v + k3v) + k4v) / 6.0
-        xs[i + 1] = x
-        vs[i + 1] = v
-    return times, xs, vs
 
 
 @settings(max_examples=30, deadline=None)
@@ -126,7 +82,7 @@ def test_integrate_matches_the_numpy_scalar_loop(params, per_period, x0, v0):
     steps = per_period * n
     for forcing in (spec.acceleration, lambda t: 0.25):
         trace = integrate(forcing, spec.k, spec.t1, spec.t1 / steps, initial_state=(x0, v0))
-        t, xs, vs = numpy_scalar_integrate(forcing, spec.k, spec.t1, spec.t1 / steps, (x0, v0))
+        t, xs, vs = reference.rk4(forcing, spec.k, spec.t1, steps, x0, v0)
         assert (trace.t.tobytes(), trace.x.tobytes(), trace.v.tobytes()) == \
             (t.tobytes(), xs.tobytes(), vs.tobytes())
 
@@ -153,9 +109,45 @@ def test_simulate_relative_matches_integrate(params, exploratory_n, strict, step
 def test_default_integration_matches_the_numpy_scalar_loop(bench_spec):
     # the simulate default: 20 000 steps
     trace = simulate_relative(bench_spec)
-    _, xs, vs = numpy_scalar_integrate(bench_spec.acceleration, bench_spec.k, bench_spec.t1,
-                                       bench_spec.t1 / 20_000)
+    _, xs, vs = reference.rk4(bench_spec.acceleration, bench_spec.k, bench_spec.t1, 20_000)
     assert trace.x.tobytes() == xs.tobytes() and trace.v.tobytes() == vs.tobytes()
+
+
+lockstep_specs = st.one_of(
+    spec_params.map(lambda p: MotionSpec(L=p[0], k=p[1], n=float(p[2]), m=0.1)),
+    st.tuples(st.floats(0.1, 2.0), st.floats(1.0, 50.0), st.floats(1.01, 10.0)).map(
+        lambda p: MotionSpec(L=p[0], k=p[1], n=p[2], m=0.1, exploratory=True)))
+
+
+@settings(max_examples=5, deadline=None)
+@given(specs=st.lists(lockstep_specs, min_size=20, max_size=30), n_steps=st.integers(500, 3000))
+def test_each_lockstep_column_equals_simulate_relative(specs, n_steps):
+    # n_steps >= 50 * n, so every spec takes the step t1 / n_steps
+    t, x, v = reference.lockstep(specs, n_steps)
+    for column, spec in enumerate(specs):
+        trace = simulate_relative(spec, spec.t1 / n_steps)
+        assert (t[:, column].tobytes(), x[:, column].tobytes(), v[:, column].tobytes()) == \
+            (np.asarray(trace.t).tobytes(), np.asarray(trace.x).tobytes(),
+             np.asarray(trace.v).tobytes())
+
+
+# a seed has nothing to shrink, and each run takes seconds
+@settings(max_examples=1, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_c2_bound_holds_in_lockstep_over_a_thousand_specs(seed):
+    # C2's uniform bound, at C2's 20 000 steps, over 1000 strict specs of C2's
+    # domain and 200 exploratory ones with n - 1 log-uniform in [1e-9, 1e-1];
+    # every 20th node is checked, which keeps the held states small
+    rng = np.random.default_rng(seed)
+    L, k = rng.uniform(0.1, 2.0, 1200), rng.uniform(1.0, 50.0, 1200)
+    specs = ([MotionSpec(L=L[i], k=k[i], n=float(rng.integers(2, 11)), m=0.1)
+              for i in range(1000)]
+             + [MotionSpec(L=L[i], k=k[i], n=1.0 + 10.0 ** rng.uniform(-9.0, -1.0), m=0.1,
+                           exploratory=True) for i in range(1000, 1200)])
+    t, x, _ = reference.lockstep(specs, 20_000, stride=20)
+    for column, spec in enumerate(specs):
+        error = np.max(np.abs(x[:, column] - relative_motion(spec, t[:, column])[0]))
+        assert error <= ORACLE_TOL, spec
 
 
 def test_integrate_takes_a_scalar_only_forcing():
@@ -312,25 +304,15 @@ class TestResidualReport:
     def test_near_resonance_endpoint_matches_mpmath(self, eps):
         # k**2 - p**2 cancels as n -> 1+; the gain is formed from n - 1 instead
         spec = MotionSpec(L=0.41, k=5.78, n=1.0 + eps, m=0.09, exploratory=True)
-        with mpmath.workdps(50):
-            n, L, k = mpmath.mpf(spec.n), mpmath.mpf(spec.L), mpmath.mpf(spec.k)
-            p = k / n
-            gain = L * p**2 / (2 * mpmath.pi * (k**2 - p**2))
-            x_ref = gain * (p / k) * mpmath.sin(2 * mpmath.pi * n)
-            v_ref = gain * p * (mpmath.cos(2 * mpmath.pi * n) - 1)
-            amplitude_ref = float(mpmath.hypot(x_ref, v_ref / k))
-        assert final_relative_state(spec)[0] == pytest.approx(float(x_ref), rel=1e-14)
+        x_ref, _, amplitude_ref = reference.end_state(spec)
+        assert final_relative_state(spec)[0] == pytest.approx(x_ref, rel=1e-14)
         assert residual_report(spec).amplitude == pytest.approx(amplitude_ref, rel=1e-14)
 
     @pytest.mark.parametrize("n", [1.0 + 1e-9, 1.0 + 1e-6, 2.0 + 1e-9, 3.0 - 1e-7])
     def test_end_velocity_near_an_integer_matches_mpmath(self, n):
         # cos(theta) - 1 cancels as n nears an integer or 1; v_end keeps its digits
         spec = MotionSpec(L=0.41, k=5.78, n=n, m=0.09, exploratory=True)
-        with mpmath.workdps(50):
-            n, L, k = mpmath.mpf(spec.n), mpmath.mpf(spec.L), mpmath.mpf(spec.k)
-            p = k / n
-            gain = L * p**2 / (2 * mpmath.pi * (k**2 - p**2))
-            v_ref = float(gain * p * (mpmath.cos(2 * mpmath.pi * n) - 1))
+        v_ref = reference.end_state(spec)[1]
         assert final_relative_state(spec)[1] == pytest.approx(v_ref, rel=1e-15, abs=0.0)
 
     def test_amplitude_dominates_displacement(self, bench_spec):
@@ -389,8 +371,7 @@ class TestAction:
     def test_bench_action_baseline(self, bench_spec):
         value = action_value(bench_spec)
         assert value == pytest.approx(BENCH_ACTION, rel=1e-9)
-        analytic = bench_spec.m * bench_spec.L**2 * bench_spec.p * (1 / (4 * math.pi) + math.pi / 3)
-        assert value == pytest.approx(analytic, rel=1e-10)
+        assert value == pytest.approx(reference.figures(bench_spec)["action"], rel=1e-10)
 
     @settings(max_examples=25, deadline=None)
     @given(L=st.floats(1e-3, 1e3), k=st.floats(1e-2, 1e3), n=st.floats(1.01, 50.0),
@@ -445,9 +426,8 @@ class TestExtremeScales:
     def test_action_value_stays_finite(self):
         spec = self.SPEC
         value = action_value(spec, step=spec.t1 / 1000)
-        # spec.action underflows at L**2; the closed form with L*p formed first does not
-        closed_form = spec.m * spec.L * (spec.L * spec.p) * (math.pi / 3 + 1 / (4 * math.pi))
-        assert value == pytest.approx(closed_form, rel=1e-9)
+        # spec.action underflows at L**2; the exact closed form does not
+        assert value == pytest.approx(reference.figures(spec)["action"], rel=1e-9)
 
     def test_euler_lagrange_residual_stays_finite(self):
         spec = self.SPEC
