@@ -24,21 +24,20 @@ if "numpy" not in sys.modules:
 from .analysis import (AmplitudeTable, SweepResult, SweepRow, amplitude_table,
                        energy_figure, suppression_ratio, sweep_n)
 from .beam import BeamSpec, load_beam
-from .filters import Biquad, FilterDesign, design_butterworth, filtfilt, magnitude_response
-from .motion import MomentIntegrals, MotionSpec, SetpointTable, simpson_grid, timing_residual
-from .oscillator import (OscillatorTrace, ResidualReport, action_value,
-                         euler_lagrange_residual, final_relative_state, integrate,
-                         relative_motion, residual_report, simulate_relative,
+from .filters import Biquad, FilterDesign, design_butterworth, filtfilt
+from .motion import MotionSpec, SetpointTable, simpson_grid, timing_residual
+from .oscillator import (OscillatorTrace, ResidualReport, action_value, final_relative_state,
+                         integrate, relative_motion, residual_report, simulate_relative,
                          tip_trace, write_relative_trace)
 from .timeseries import TimeSeries, load_trace, save_trace
 
 __all__ = [
-    "AmplitudeTable", "BeamSpec", "Biquad", "FilterDesign", "MomentIntegrals",
-    "MotionSpec", "OscillatorTrace", "ResidualReport", "SetpointTable",
+    "AmplitudeTable", "BeamSpec", "Biquad", "FilterDesign", "MotionSpec",
+    "OscillatorTrace", "ResidualReport", "SetpointTable",
     "SweepResult", "SweepRow", "TimeSeries",
     "action_value", "amplitude_table", "design_butterworth",
-    "energy_figure", "euler_lagrange_residual", "filtfilt", "final_relative_state",
-    "integrate", "load_beam", "load_trace", "magnitude_response",
+    "energy_figure", "filtfilt", "final_relative_state",
+    "integrate", "load_beam", "load_trace",
     "relative_motion", "residual_report",
     "save_trace", "simpson_grid", "simulate_relative",
     "suppression_ratio", "sweep_n", "timing_residual",

@@ -75,17 +75,6 @@ class FilterDesign(Record):
 design_butterworth = FilterDesign
 
 
-def magnitude_response(design: FilterDesign, freq_hz):
-    """Single-pass gain |H(f)| of the cascade; the forward-backward pass applies its square."""
-    f = np.asarray(freq_hz, dtype=float)
-    z1 = np.exp(-2j * np.pi * f / design.rate_hz)
-    z2 = z1 * z1
-    h = np.ones_like(z1, dtype=complex)
-    for sec in design.sections:
-        h = h * (sec.b0 + sec.b1 * z1 + sec.b2 * z2) / (1.0 + sec.a1 * z1 + sec.a2 * z2)
-    return abs(complex(h)) if np.ndim(freq_hz) == 0 else np.abs(h)
-
-
 def _cascade(sections: tuple[Biquad, ...], y: np.ndarray) -> None:
     # Filter y in place, each section in transposed direct form II with zero
     # initial state.  The deviation from the first sample is filtered: with unit

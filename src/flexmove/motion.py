@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import NamedTuple
 
 from ._numpy import np
 from ._record import Record
@@ -95,15 +94,6 @@ def _in_float_range(what: str, compute) -> float:
 def _like(t, values) -> float | np.ndarray:
     """Return a scalar for scalar input, an array otherwise."""
     return float(values) if np.ndim(t) == 0 else np.asarray(values)
-
-
-class MomentIntegrals(NamedTuple):
-    """Quadrature moments of one move, taken over [0, t1]."""
-
-    impulse: float      # integral of a(t) dt; zero for any whole control period
-    distance: float     # integral of v(t) dt; equals the displacement L
-    cos_moment: float   # integral of a(t) cos(k t) dt; vanishes iff n is an integer
-    sin_moment: float   # integral of a(t) sin(k t) dt; vanishes iff n is an integer
 
 
 class SetpointTable(Record):
@@ -237,20 +227,3 @@ class MotionSpec(Record):
             for column, law in zip((s, v, a), laws):
                 column.fromlist(list(map(law, phases)))
         return SetpointTable(t, s, v, a)
-
-    def moment_integrals(self, step: float | None = None) -> MomentIntegrals:
-        """Composite-Simpson moments of the control and velocity over the move."""
-        if step is None:
-            step = self.t1 / DEFAULT_QUAD_INTERVALS
-        if step > self.t_c / 10.0:
-            raise ValueError(
-                "quadrature step must resolve the natural period (step <= t_c/10)")
-        grid = simpson_grid(self.t1, step)
-        u = self.acceleration(grid)
-        v = self.velocity(grid)
-        return MomentIntegrals(
-            impulse=simpson(u, grid),
-            distance=simpson(v, grid),
-            cos_moment=simpson(u * np.cos(self.k * grid), grid),
-            sin_moment=simpson(u * np.sin(self.k * grid), grid),
-        )

@@ -231,21 +231,6 @@ def action_value(spec: MotionSpec, position_fn=None, velocity_fn=None,
     return simpson(integrand, grid)
 
 
-def euler_lagrange_residual(spec: MotionSpec, t, position_fn=None, accel_fn=None):
-    """Residual s'' + p**2 * s - (L*p**3/(2*pi)) * t of the stationarity condition.
-
-    Identically zero for the executed motion law; nonzero for any other
-    trajectory, e.g. a constant-acceleration ramp.
-    """
-    s_fn = position_fn if position_fn is not None else spec.position
-    a_fn = accel_fn if accel_fn is not None else spec.acceleration
-    arr = np.asarray(t, dtype=float)
-    res = (np.asarray(a_fn(arr), dtype=float)
-           + spec.p**2 * np.asarray(s_fn(arr), dtype=float)
-           - spec.peak_acceleration * spec.p * arr)
-    return _like(t, res)
-
-
 def write_relative_trace(path, spec: MotionSpec, trace: OscillatorTrace) -> None:
     """CSV of an integrated relative motion with header t,x_r,v_r,a_r.
 

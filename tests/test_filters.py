@@ -7,9 +7,10 @@ import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flexmove import FilterDesign, TimeSeries, design_butterworth, filtfilt, magnitude_response
+from flexmove import FilterDesign, TimeSeries, design_butterworth, filtfilt
 from flexmove import filters
 from flexmove.filters import _cascade
+from flexmove.oracles import magnitude_response
 from reference import numpy_scalar_cascade
 
 RATE = 1500.0

@@ -102,3 +102,14 @@ def test_numpy_loads_without_a_blas_thread_pool():
 def test_an_explicit_blas_thread_count_wins():
     code = "import os, flexmove, numpy; print(os.environ['OPENBLAS_NUM_THREADS'])"
     assert fresh_python(code, OPENBLAS_NUM_THREADS="2") == ["2"]
+
+
+@pytest.mark.parametrize("argv,loads_numpy", JOBS)
+def test_no_job_loads_the_oracles(tmp_path, argv, loads_numpy):
+    assert "flexmove.oracles" not in job_modules(tmp_path, argv)
+
+
+def test_the_oracles_load_no_numpy():
+    modules = imported_modules("-c", "import flexmove.oracles")
+    assert "flexmove.oracles" in modules
+    assert sorted(m for m in modules if m == "numpy" or m.startswith("numpy.")) == []

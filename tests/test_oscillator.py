@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 import reference
 from conftest import TWO_PI, spec_params
 from flexmove import oscillator
-from flexmove import (MotionSpec, action_value, euler_lagrange_residual,
-                      final_relative_state, integrate, relative_motion,
-                      residual_report, simulate_relative, tip_trace,
+from flexmove import (MotionSpec, action_value, final_relative_state, integrate,
+                      relative_motion, residual_report, simulate_relative, tip_trace,
                       write_relative_trace)
+from flexmove.oracles import euler_lagrange_residual
 from flexmove.timeseries import read_numeric_csv
 from test_acceptance import ORACLE_TOL
 
@@ -71,7 +71,9 @@ class TestClosedForm:
         assert (error <= 1e-12 * np.abs(ref).max(axis=1)).all(), error
 
 
-@settings(max_examples=30, deadline=None)
+# no shrinking: each shrink step re-runs the RK4s, so a broken route would take
+# minutes to report; the failing example prints as drawn
+@settings(max_examples=30, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(params=spec_params, per_period=st.integers(51, 90),
        x0=st.floats(-1.0, 1.0), v0=st.floats(-1.0, 1.0))
 def test_integrate_matches_the_numpy_scalar_loop(params, per_period, x0, v0):
@@ -119,7 +121,8 @@ lockstep_specs = st.one_of(
         lambda p: MotionSpec(L=p[0], k=p[1], n=p[2], m=0.1, exploratory=True)))
 
 
-@settings(max_examples=5, deadline=None)
+# no shrinking, as above: a list of 20-30 specs shrinks for minutes
+@settings(max_examples=5, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(specs=st.lists(lockstep_specs, min_size=20, max_size=30), n_steps=st.integers(500, 3000))
 def test_each_lockstep_column_equals_simulate_relative(specs, n_steps):
     # n_steps >= 50 * n, so every spec takes the step t1 / n_steps
