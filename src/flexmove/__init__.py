@@ -22,25 +22,23 @@ if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .analysis import (AmplitudeTable, SweepResult, SweepRow, amplitude_table,
-                       energy_figure, suppression_ratio, sweep_n)
+                       suppression_ratio, sweep_n)
 from .beam import BeamSpec, load_beam
 from .filters import Biquad, FilterDesign, design_butterworth, filtfilt
-from .motion import MotionSpec, SetpointTable, simpson_grid, timing_residual
-from .oscillator import (OscillatorTrace, ResidualReport, action_value, final_relative_state,
-                         integrate, relative_motion, residual_report, simulate_relative,
-                         tip_trace, write_relative_trace)
+from .motion import MotionSpec, SetpointTable
+from .oscillator import (OscillatorTrace, ResidualReport, final_relative_state, integrate,
+                         relative_motion, residual_report, simulate_relative, tip_trace,
+                         write_relative_trace)
 from .timeseries import TimeSeries, load_trace, save_trace
 
 __all__ = [
     "AmplitudeTable", "BeamSpec", "Biquad", "FilterDesign", "MotionSpec",
     "OscillatorTrace", "ResidualReport", "SetpointTable",
     "SweepResult", "SweepRow", "TimeSeries",
-    "action_value", "amplitude_table", "design_butterworth",
-    "energy_figure", "filtfilt", "final_relative_state",
-    "integrate", "load_beam", "load_trace",
-    "relative_motion", "residual_report",
-    "save_trace", "simpson_grid", "simulate_relative",
-    "suppression_ratio", "sweep_n", "timing_residual",
+    "amplitude_table", "design_butterworth", "filtfilt",
+    "final_relative_state", "integrate", "load_beam", "load_trace",
+    "relative_motion", "residual_report", "save_trace",
+    "simulate_relative", "suppression_ratio", "sweep_n",
     "tip_trace", "write_relative_trace",
 ]
 

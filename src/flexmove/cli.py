@@ -37,7 +37,7 @@ _CONFIG.add_argument("--config", help="JSON config document; flags override it")
 
 #: config keys that may hold a string (masses: its comma-separated form); the
 #: others take JSON numbers, or true/false for a bare flag
-_TEXT_KEYS = frozenset({"in", "out", "beam", "trace_out", "config", "masses"})
+_TEXT_KEYS = frozenset({"in", "out", "beam", "trace_out", "masses"})
 
 
 def _config_flags(doc: dict) -> list[str]:
@@ -45,11 +45,13 @@ def _config_flags(doc: dict) -> list[str]:
 
     true becomes a bare flag, false and null are left out, and a list of
     masses is joined with commas.  Any other string, list or object where a
-    number belongs is an argument error.
+    number belongs is an argument error, and so is a help or config key.
     """
     tokens = []
     for key, value in doc.items():
         flag = "--" + key.replace("_", "-")
+        if key in ("help", "config"):  # argparse would exit on one and ignore the other
+            raise ValueError(f"argument {flag}: a config document may not hold the key {key!r}")
         if value is True:
             tokens.append(flag)
         elif key == "masses" and isinstance(value, list) and all(

@@ -81,10 +81,6 @@ class OscillatorTrace(Record):
     def __len__(self) -> int:
         return len(self.t)
 
-    @property
-    def final_state(self) -> tuple[float, float]:
-        return float(self.x[-1]), float(self.v[-1])
-
 
 def integrate(forcing, k: float, t_end: float, step: float,
               initial_state: tuple[float, float] = (0.0, 0.0)) -> OscillatorTrace:
@@ -94,7 +90,9 @@ def integrate(forcing, k: float, t_end: float, step: float,
     lands exactly on t_end.  Steps coarser than a fiftieth of the oscillation
     period are rejected.  ``forcing`` maps one time to one forcing value; it is
     called on the Python-float grid nodes and step midpoints in time order, and
-    nothing holds the forcing of a whole run.
+    nothing holds the forcing of a whole run.  A run whose state leaves the
+    float range (a non-finite initial state or forcing, or k*k overflowing)
+    raises ValueError.
     """
     k, t_end, step = map(positive_finite, ("k", "t_end", "integration step"), (k, t_end, step))
     coarsest = TWO_PI / k / MIN_STEPS_PER_PERIOD
@@ -128,6 +126,9 @@ def integrate(forcing, k: float, t_end: float, step: float,
         xs.append(x)
         vs.append(v)
         u0 = u1
+    if not (math.isfinite(x) and math.isfinite(v)):  # no step turns inf or nan finite again
+        raise ValueError("RK4 state leaves the float range: check k, the initial state "
+                         "and the forcing")
     return OscillatorTrace(t=times, x=xs, v=vs)
 
 
@@ -161,18 +162,12 @@ class ResidualReport(NamedTuple):
         """The spec guarantees quiescence (integer n) and the amplitude is within tolerance."""
         return self.spec.guarantees_quiescence and self.amplitude <= self.tolerance
 
-    @property
-    def action(self) -> float:
-        """``spec.action``, the closed form m*L**2*p*(pi/3 + 1/(4*pi)) of
-        :func:`action_value` over the executed motion law [J*s]."""
-        return self.spec.action
-
     def as_dict(self) -> dict:
         return {
             "L": self.spec.L, "k": self.spec.k, "n": self.spec.n, "m": self.spec.m,
             "p": self.spec.p, "t1": self.spec.t1,
             "x_end": self.x_end, "v_end": self.v_end, "amplitude": self.amplitude,
-            "quiescent": self.quiescent, "action": self.action,
+            "quiescent": self.quiescent, "action": self.spec.action,
             "tolerance": self.tolerance,
         }
 

@@ -15,6 +15,9 @@ CSV_DIGITS = 12
 #: rows formatted per string operation by write_csv
 _WRITE_ROWS = 1024
 
+#: allowed relative deviation of any time step from the median step
+JITTER_TOL = 1e-3
+
 
 def fmt(x: float) -> str:
     """Format a float with CSV_DIGITS significant digits."""
@@ -36,7 +39,8 @@ class TimeSeries(Record):
     label : str
         Column name used when the series is written to CSV.
     rate : float
-        Samples per second, ``uniform_rate(t)``: set from ``t``, never passed.
+        Samples per second, one over the median time step: set from ``t``,
+        never passed.
     """
 
     _fields = ("t", "values", "label")
@@ -48,10 +52,19 @@ class TimeSeries(Record):
             raise ValueError("a time series needs at least two samples")
         if t.shape != values.shape:
             raise ValueError("time and value columns differ in length")
-        rate = uniform_rate(t)
+        if not np.isfinite(t).all():
+            raise ValueError("time column must hold finite numbers")
+        steps = np.diff(t)
+        median = float(np.median(steps))
+        if median <= 0.0:
+            raise ValueError("time column must be strictly increasing")
+        if np.max(np.abs(steps - median)) > JITTER_TOL * median:
+            raise ValueError(
+                "non-uniform sampling, time steps deviate more than "
+                f"{100 * JITTER_TOL:g} % from the median step {median:.6g} s")
         if not np.isfinite(values).all():
             raise ValueError("value column must hold finite numbers")
-        self._set(t=t, values=values, label=label, rate=rate)
+        self._set(t=t, values=values, label=label, rate=1.0 / median)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -151,27 +164,6 @@ def _read_csv_checked(path, n_columns):
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from None
     return header, [np.asarray(col) for col in data]
-
-
-#: allowed relative deviation of any time step from the median step
-JITTER_TOL = 1e-3
-
-
-def uniform_rate(t: np.ndarray) -> float:
-    """Sample rate inferred from the median time step; rejects jittered time steps."""
-    if len(t) < 2:
-        raise ValueError("a time series needs at least two samples")
-    if not np.isfinite(t).all():
-        raise ValueError("time column must hold finite numbers")
-    steps = np.diff(t)
-    median = float(np.median(steps))
-    if median <= 0.0:
-        raise ValueError("time column must be strictly increasing")
-    if np.max(np.abs(steps - median)) > JITTER_TOL * median:
-        raise ValueError(
-            "non-uniform sampling, time steps deviate more than "
-            f"{100 * JITTER_TOL:g} % from the median step {median:.6g} s")
-    return 1.0 / median
 
 
 def load_trace(path) -> TimeSeries:

@@ -30,11 +30,12 @@ import numpy as np
 import pytest
 
 from conftest import BENCH, BENCH_BEAM
-from flexmove import (BeamSpec, MotionSpec, TimeSeries, action_value,
-                      amplitude_table, design_butterworth, energy_figure,
-                      filtfilt, relative_motion, residual_report,
+from flexmove import (BeamSpec, MotionSpec, TimeSeries, amplitude_table,
+                      design_butterworth, filtfilt, relative_motion, residual_report,
                       simulate_relative, suppression_ratio)
+from flexmove.analysis import energy_figure
 from flexmove.oracles import moment_integrals
+from flexmove.oscillator import action_value
 
 QUIESCENCE_TOL = 1e-6          # fraction of L
 ORACLE_TOL = 1e-8              # metres, uniform over the move

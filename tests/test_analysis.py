@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 import reference
 from conftest import BENCH
-from flexmove import (MotionSpec, amplitude_table, energy_figure, residual_report,
-                      simpson_grid, suppression_ratio, sweep_n)
+from flexmove import MotionSpec, amplitude_table, residual_report, suppression_ratio, sweep_n
+from flexmove.analysis import energy_figure
+from flexmove.motion import simpson_grid
 from flexmove.timeseries import read_numeric_csv
 
 # Frozen drive-cost figure for the bench move; equals m*L^2*p^2/pi^2.

@@ -447,6 +447,16 @@ class TestConfigFile:
         _, columns = read_numeric_csv(out, n_columns=4)
         assert len(columns[0]) == count
 
+    @pytest.mark.parametrize("key,value", [("help", True), ("config", "nope.json")])
+    def test_help_and_config_keys_are_argument_errors(self, tmp_path, capsys, key, value):
+        out = tmp_path / "x.csv"
+        config = self.write_config(tmp_path, L=0.41, k=5.78, n=2, mass=0.09, out=str(out),
+                                   **{key: value})
+        code, stdout, stderr = run(capsys, "plan", "--config", config)
+        assert one_error_line(code, stderr) and stdout == ""
+        assert f"may not hold the key '{key}'" in stderr
+        assert not out.exists()
+
     def test_exploratory_via_config(self, tmp_path, capsys):
         config = tmp_path / "run.json"
         config.write_text(json.dumps(dict(L=0.41, k=5.78, n=2.5, mass=0.09,

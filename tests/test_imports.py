@@ -2,30 +2,44 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import flexmove
-from conftest import BENCH_BEAM
-
-SRC = str(Path(flexmove.__file__).resolve().parents[1])
+from conftest import BENCH_BEAM, child_env
 
 
 def imported_modules(*argv, cwd=None):
     """Names of every module a fresh `python -X importtime *argv` imports."""
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-X", "importtime", *argv], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
-                          check=True, cwd=cwd)
+                          text=True, env=child_env(), timeout=60, check=True, cwd=cwd)
     return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
             if line.startswith("import time:")}
 
 
+@pytest.fixture(scope="module")
+def job_modules(tmp_path_factory):
+    """Modules a job imports, run in a directory next to a beam document and a trace.
+
+    Each job runs once: the tests of its properties share the one child process.
+    """
+    runs = {}
+
+    def modules(argv):
+        if argv not in runs:
+            workdir = tmp_path_factory.mktemp("job")
+            (workdir / "beam.json").write_text(json.dumps(BENCH_BEAM))
+            (workdir / "tip.csv").write_text("t,a_tip\n" + "".join(
+                f"{i / 1500!r},{i % 7}\n" for i in range(100)))
+            runs[argv] = imported_modules(*argv, cwd=workdir)
+        assert "flexmove.analysis" in runs[argv]
+        return runs[argv]
+
+    return modules
+
+
 @pytest.mark.parametrize("argv", [("-c", "import flexmove"), ("-m", "flexmove", "--help")])
-def test_scipy_stays_off_the_import_path(argv):
-    modules = imported_modules(*argv)
-    assert "flexmove.analysis" in modules
+def test_scipy_stays_off_the_import_path(job_modules, argv):
+    modules = job_modules(argv)
     assert sorted(m for m in modules if m == "scipy" or m.startswith("scipy.")) == []
 
 
@@ -56,28 +70,18 @@ JOBS = [
 ]
 
 
-def job_modules(tmp_path, argv):
-    """Modules a job imports, run in tmp_path next to a beam document and a trace."""
-    (tmp_path / "beam.json").write_text(json.dumps(BENCH_BEAM))
-    (tmp_path / "tip.csv").write_text("t,a_tip\n" + "".join(f"{i / 1500!r},{i % 7}\n"
-                                                            for i in range(100)))
-    modules = imported_modules(*argv, cwd=tmp_path)
-    assert "flexmove.analysis" in modules
-    return modules
-
-
 @pytest.mark.parametrize("argv,loads_numpy", JOBS)
-def test_numpy_loads_only_for_array_work(tmp_path, argv, loads_numpy):
-    modules = job_modules(tmp_path, argv)
+def test_numpy_loads_only_for_array_work(job_modules, argv, loads_numpy):
+    modules = job_modules(argv)
     numpy_modules = sorted(m for m in modules if m == "numpy" or m.startswith("numpy."))
     assert bool(numpy_modules) == loads_numpy, numpy_modules[:5]
 
 
 @pytest.mark.parametrize("argv,loads_numpy", JOBS)
-def test_no_job_loads_dataclasses_or_inspect(tmp_path, argv, loads_numpy):
+def test_no_job_loads_dataclasses_or_inspect(job_modules, argv, loads_numpy):
     # `import dataclasses` pulls in inspect, ast, dis and tokenize; with the records
     # it decorates, that costs every short job ~25 ms
-    modules = job_modules(tmp_path, argv)
+    modules = job_modules(argv)
     assert "dataclasses" not in modules
     # numpy imports inspect itself (numpy._core.overrides), so only the array job may
     assert "inspect" not in modules or loads_numpy
@@ -86,10 +90,9 @@ def test_no_job_loads_dataclasses_or_inspect(tmp_path, argv, loads_numpy):
 def fresh_python(code, **env):
     """Standard output words of a fresh `python -c code` with no OPENBLAS_NUM_THREADS
     of its own unless given in env."""
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    inherited = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    inherited = {k: v for k, v in child_env().items() if k != "OPENBLAS_NUM_THREADS"}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(inherited, PYTHONPATH=path, **env), timeout=60, check=True)
+                          env=dict(inherited, **env), timeout=60, check=True)
     return proc.stdout.split()
 
 
@@ -105,8 +108,8 @@ def test_an_explicit_blas_thread_count_wins():
 
 
 @pytest.mark.parametrize("argv,loads_numpy", JOBS)
-def test_no_job_loads_the_oracles(tmp_path, argv, loads_numpy):
-    assert "flexmove.oracles" not in job_modules(tmp_path, argv)
+def test_no_job_loads_the_oracles(job_modules, argv, loads_numpy):
+    assert "flexmove.oracles" not in job_modules(argv)
 
 
 def test_the_oracles_load_no_numpy():

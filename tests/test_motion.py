@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 import reference
 from conftest import BENCH, TWO_PI, spec_params_with_mass
-from flexmove import MotionSpec, simpson_grid, timing_residual
+from flexmove import MotionSpec, TimeSeries
 from flexmove import motion
-from flexmove.motion import simpson
+from flexmove.motion import simpson, simpson_grid, timing_residual
 from flexmove.oracles import moment_integrals
-from flexmove.timeseries import read_numeric_csv, uniform_rate
+from flexmove.timeseries import read_numeric_csv
 
 # Frozen from t1 = 2*pi*n/k with the bench numbers (L=0.41, k=5.78, n=2).
 BENCH_T1 = 2.174112563037919
@@ -261,7 +261,7 @@ class TestSampling:
         table.write_csv(path)
         assert path.read_text().splitlines()[0] == "t,s,v,a"
         _, (t, s, _, a) = read_numeric_csv(path, n_columns=4)
-        assert uniform_rate(t) == pytest.approx(200.0, rel=1e-9)
+        assert TimeSeries(t, s).rate == pytest.approx(200.0, rel=1e-9)
         assert np.allclose(s, table.s, rtol=1e-11, atol=1e-14)
         assert np.interp(t[5], t, a) == a[5]
 

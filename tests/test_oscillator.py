@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 import reference
 from conftest import TWO_PI, spec_params
 from flexmove import oscillator
-from flexmove import (MotionSpec, action_value, final_relative_state, integrate,
-                      relative_motion, residual_report, simulate_relative, tip_trace,
-                      write_relative_trace)
+from flexmove import (MotionSpec, final_relative_state, integrate, relative_motion,
+                      residual_report, simulate_relative, tip_trace, write_relative_trace)
+from flexmove.oscillator import action_value
 from flexmove.oracles import euler_lagrange_residual
 from flexmove.timeseries import read_numeric_csv
 from test_acceptance import ORACLE_TOL
@@ -164,9 +164,7 @@ def test_integrate_takes_a_scalar_only_forcing():
 
 class TestIntegrator:
     def test_bench_residual(self, bench_spec):
-        trace = simulate_relative(bench_spec)
-        x_end, v_end = trace.final_state
-        assert abs(x_end) <= 1e-8
+        assert abs(simulate_relative(bench_spec).x[-1]) <= 1e-8
 
     def test_zero_forcing_stays_zero(self):
         trace = integrate(lambda t: 0.0, 5.78, 1.0, 1e-3)
@@ -198,6 +196,16 @@ class TestIntegrator:
         # a NaN k used to pass every comparison and return an all-NaN trace
         with pytest.raises(ValueError, match="^k must be a positive finite number"):
             integrate(lambda t: 0.0, math.nan, 10.0, 0.01)
+
+    @pytest.mark.parametrize("forcing, k, initial_state", [
+        (lambda t: 1.0, 1e160, (0.0, 0.0)),
+        (lambda t: 0.0, 5.78, (math.nan, 0.0)),
+        (lambda t: math.inf, 5.78, (0.0, 0.0)),
+    ], ids=["k*k-overflows", "nan-initial-state", "inf-forcing"])
+    def test_a_non_finite_run_is_rejected(self, forcing, k, initial_state):
+        period = TWO_PI / k
+        with pytest.raises(ValueError, match="^RK4 state leaves the float range"):
+            integrate(forcing, k, period, period / 100, initial_state)
 
     @settings(max_examples=12, deadline=None)
     @given(params=spec_params)
@@ -252,7 +260,6 @@ class TestResidualReport:
         assert report == (spec, report.x_end, report.v_end)
         assert report.amplitude == math.hypot(report.x_end, report.v_end / spec.k)
         assert report.tolerance == 1e-6 * spec.L
-        assert report.action == spec.action
         assert report.quiescent is (spec.guarantees_quiescence
                                     and report.amplitude <= report.tolerance)
         assert report.quiescent is spec.guarantees_quiescence  # every strict spec here ends at rest
@@ -261,7 +268,7 @@ class TestResidualReport:
         assert fields == {"L": spec.L, "k": spec.k, "n": spec.n, "m": spec.m, "p": spec.p,
                           "t1": spec.t1, "x_end": report.x_end, "v_end": report.v_end,
                           "amplitude": report.amplitude, "quiescent": report.quiescent,
-                          "action": report.action, "tolerance": report.tolerance}
+                          "action": spec.action, "tolerance": report.tolerance}
 
     def test_strict_report_quiescent(self, bench_spec):
         report = residual_report(bench_spec, simulate_relative(bench_spec))
@@ -361,7 +368,7 @@ class TestSkewSymmetricFamily:
         assert abs(np.trapezoid(u * np.cos(spec.k * grid), grid)) <= 1e-9
         assert abs(np.trapezoid(u * np.sin(spec.k * grid), grid)) <= 1e-9
         trace = integrate(forcing, spec.k, t1, t1 / 20_000)
-        x_end, v_end = trace.final_state
+        x_end, v_end = trace.x[-1], trace.v[-1]
         amplitude = math.hypot(x_end, v_end / spec.k)
         assert amplitude <= 1e-9 * max(1.0, float(np.max(np.abs(trace.x))))
 
@@ -384,7 +391,8 @@ class TestAction:
             spec = MotionSpec(L=L, k=k, n=float(max(2, round(n))), m=m)
         else:
             spec = MotionSpec(L=L, k=k, n=n, m=m, exploratory=True)
-        assert residual_report(spec).action == pytest.approx(action_value(spec), rel=1e-12)
+        action = residual_report(spec).as_dict()["action"]
+        assert action == pytest.approx(action_value(spec), rel=1e-12)
 
     def test_report_runs_no_quadrature(self, bench_spec, monkeypatch):
         trace = simulate_relative(bench_spec)
@@ -393,8 +401,8 @@ class TestAction:
             raise AssertionError("residual_report ran a quadrature")
 
         monkeypatch.setattr(oscillator, "simpson_grid", no_quadrature)
-        assert residual_report(bench_spec).action == BENCH_ACTION
-        assert residual_report(bench_spec, trace).action == BENCH_ACTION
+        assert residual_report(bench_spec).as_dict()["action"] == BENCH_ACTION
+        assert residual_report(bench_spec, trace).as_dict()["action"] == BENCH_ACTION
 
     @pytest.mark.parametrize("shape", ["half_sine", "parabola"])
     def test_stationarity_ratio(self, bench_spec, shape):
