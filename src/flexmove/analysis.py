@@ -98,7 +98,9 @@ def energy_figure(spec: MotionSpec, step: float | None = None) -> float:
     if step is None:
         step = spec.t1 / DEFAULT_QUAD_INTERVALS
     grid = simpson_grid(spec.t1, step)
-    power = np.abs(spec.acceleration(grid) * spec.velocity(grid))
+    _, v_law, u_law = spec._laws(np)
+    phase = spec.p * grid
+    power = np.abs(u_law(phase) * v_law(phase))
     return spec.m * simpson(power, grid)
 
 

@@ -194,21 +194,9 @@ class MotionSpec(Record):
                 lambda pt: gain_v * (1.0 - cos(pt)),
                 lambda pt: gain_u * sin(pt))
 
-    def position(self, t) -> float | np.ndarray:
-        """Carrier position s(t) = L/(2*pi) * (p*t - sin(p*t)) for t in [0, t1]."""
-        return _like(t, self._laws(np)[0](self.p * self._times(t)))
-
-    def velocity(self, t) -> float | np.ndarray:
-        """Carrier velocity v(t) = L*p/(2*pi) * (1 - cos(p*t)); non-negative."""
-        return _like(t, self._laws(np)[1](self.p * self._times(t)))
-
-    def acceleration(self, t) -> float | np.ndarray:
-        """Carrier acceleration u(t) = L*p**2/(2*pi) * sin(p*t); skew symmetric."""
-        return _like(t, self._laws(np)[2](self.p * self._times(t)))
-
     def sample_uniform(self, rate: float) -> SetpointTable:
         """Sample the motion law on the grid i/rate, i = 0 .. floor(rate*t1), on Python
-        floats that equal the array laws on ``np.arange(count) / rate`` bit for bit."""
+        floats that equal ``_laws(np)`` at ``p * (np.arange(count) / rate)`` bit for bit."""
         rate = positive_finite("sample rate", rate)
         check_grid_size(rate * self.t1 + 1.0, f"setpoint grid at {rate:g} Hz")
         if rate * self.t1 < 1.0:

@@ -214,13 +214,12 @@ def action_value(spec: MotionSpec, position_fn=None, velocity_fn=None,
     :func:`residual_report` reports; this composite-Simpson route is its
     oracle.  Pass array-aware callables to evaluate perturbed trajectories.
     """
-    s_fn = position_fn if position_fn is not None else spec.position
-    v_fn = velocity_fn if velocity_fn is not None else spec.velocity
     if step is None:
         step = spec.t1 / DEFAULT_QUAD_INTERVALS
     grid = simpson_grid(spec.t1, step)
-    s = np.asarray(s_fn(grid), dtype=float)
-    v = np.asarray(v_fn(grid), dtype=float)
+    s_law, v_law, _ = spec._laws(np)
+    s = s_law(spec.p * grid) if position_fn is None else np.asarray(position_fn(grid), dtype=float)
+    v = v_law(spec.p * grid) if velocity_fn is None else np.asarray(velocity_fn(grid), dtype=float)
     drive = spec.m * spec.peak_acceleration * spec.p  # m*L*p**3/(2*pi), where p**3 may overflow
     integrand = 0.5 * spec.m * v * v - 0.5 * spec.m * spec.p**2 * s * s + drive * grid * s
     return simpson(integrand, grid)

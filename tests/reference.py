@@ -7,12 +7,21 @@
   cascade as a loop over numpy scalars.
 - ``relative_motion``, ``end_state`` and ``figures``: the paper's closed forms
   in mpmath at DPS digits, from the spec's float inputs taken as exact.
+- ``position``, ``velocity`` and ``acceleration``: the motion law of a spec on
+  numpy arrays, the operations that ``sample_uniform`` runs on floats.
+- ``moment_integrals``, ``euler_lagrange_residual`` and ``magnitude_response``:
+  the Simpson moments of the control (C4), the stationarity residual of a
+  trajectory (C6) and the cascade's gain (C7).
 
 The package does not ship this module; it is test code only.
 """
 
+from typing import NamedTuple
+
 import mpmath
 import numpy as np
+
+from flexmove.motion import DEFAULT_QUAD_INTERVALS, _like, simpson, simpson_grid
 
 #: decimal digits of the mpmath closed forms
 DPS = 50
@@ -149,3 +158,71 @@ def figures(spec):
                   "action": m * L**2 * p * (pi / 3 + 1 / (4 * pi)),
                   "drive_energy": m * (L * p / pi) ** 2}
         return {name: float(value) for name, value in values.items()}
+
+
+def position(spec, t):
+    """Carrier position s(t) = L/(2*pi) * (p*t - sin(p*t)) for t in [0, t1]."""
+    return _like(t, spec._laws(np)[0](spec.p * spec._times(t)))
+
+
+def velocity(spec, t):
+    """Carrier velocity v(t) = L*p/(2*pi) * (1 - cos(p*t)); non-negative."""
+    return _like(t, spec._laws(np)[1](spec.p * spec._times(t)))
+
+
+def acceleration(spec, t):
+    """Carrier acceleration u(t) = L*p**2/(2*pi) * sin(p*t); skew symmetric."""
+    return _like(t, spec._laws(np)[2](spec.p * spec._times(t)))
+
+
+class MomentIntegrals(NamedTuple):
+    """Quadrature moments of one move, taken over [0, t1]."""
+
+    impulse: float      # integral of a(t) dt; zero for any whole control period
+    distance: float     # integral of v(t) dt; equals the displacement L
+    cos_moment: float   # integral of a(t) cos(k t) dt; vanishes iff n is an integer
+    sin_moment: float   # integral of a(t) sin(k t) dt; vanishes iff n is an integer
+
+
+def moment_integrals(spec, step=None):
+    """Composite-Simpson moments of the control and velocity over the move."""
+    if step is None:
+        step = spec.t1 / DEFAULT_QUAD_INTERVALS
+    if step > spec.t_c / 10.0:
+        raise ValueError(
+            "quadrature step must resolve the natural period (step <= t_c/10)")
+    grid = simpson_grid(spec.t1, step)
+    u = acceleration(spec, grid)
+    v = velocity(spec, grid)
+    return MomentIntegrals(
+        impulse=simpson(u, grid),
+        distance=simpson(v, grid),
+        cos_moment=simpson(u * np.cos(spec.k * grid), grid),
+        sin_moment=simpson(u * np.sin(spec.k * grid), grid),
+    )
+
+
+def euler_lagrange_residual(spec, t, position_fn=None, accel_fn=None):
+    """Residual s'' + p**2 * s - (L*p**3/(2*pi)) * t of the stationarity condition.
+
+    Identically zero for the executed motion law; nonzero for any other
+    trajectory, e.g. a constant-acceleration ramp.
+    """
+    s_fn = position_fn if position_fn is not None else lambda t: position(spec, t)
+    a_fn = accel_fn if accel_fn is not None else lambda t: acceleration(spec, t)
+    arr = np.asarray(t, dtype=float)
+    res = (np.asarray(a_fn(arr), dtype=float)
+           + spec.p**2 * np.asarray(s_fn(arr), dtype=float)
+           - spec.peak_acceleration * spec.p * arr)
+    return _like(t, res)
+
+
+def magnitude_response(design, freq_hz):
+    """Single-pass gain |H(f)| of the cascade; the forward-backward pass applies its square."""
+    f = np.asarray(freq_hz, dtype=float)
+    z1 = np.exp(-2j * np.pi * f / design.rate_hz)
+    z2 = z1 * z1
+    h = np.ones_like(z1, dtype=complex)
+    for sec in design.sections:
+        h = h * (sec.b0 + sec.b1 * z1 + sec.b2 * z2) / (1.0 + sec.a1 * z1 + sec.a2 * z2)
+    return abs(complex(h)) if np.ndim(freq_hz) == 0 else np.abs(h)

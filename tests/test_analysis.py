@@ -36,6 +36,12 @@ class TestSweep:
             assert by_n[n].residual > 1e-4
         assert by_n[2.5].residual > by_n[3.5].residual
 
+    @pytest.mark.parametrize("n, quiescent", [(1e6 + 5e-4, True), (3 + 5e-9, False)])
+    def test_the_integer_tolerance_is_relative(self, n, quiescent):
+        # INTEGER_N_TOL * n: 5e-4 off an integer is matched at n = 1e6, 5e-9 is not at n = 3
+        (row,) = sweep_n(**MOVE, n_from=n, n_to=n, step=1.0).rows
+        assert row.quiescent is quiescent
+
     def test_quarter_step_row_count(self):
         assert len(sweep_n(**MOVE, n_from=2.0, n_to=4.0, step=0.25)) == 9
 

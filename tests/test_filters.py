@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from flexmove import FilterDesign, TimeSeries, design_butterworth, filtfilt
 from flexmove import filters
 from flexmove.filters import _cascade
-from flexmove.oracles import magnitude_response
-from reference import numpy_scalar_cascade
+from reference import magnitude_response, numpy_scalar_cascade
 
 RATE = 1500.0
 
@@ -42,6 +41,10 @@ class TestDesign:
     def test_section_count_and_stability(self, bench_design):
         assert len(bench_design.sections) == 2
         assert all(sec.is_stable() for sec in bench_design.sections)
+
+    def test_poles_on_the_unit_circle_are_unstable(self):
+        # a2 = 1 puts both poles of z**2 + 1 on the circle: the Schur triangle is open
+        assert not filters.Biquad(1.0, 0.0, 0.0, a1=0.0, a2=1.0).is_stable()
 
     def test_unit_dc_gain(self, bench_design):
         assert magnitude_response(bench_design, 0.0) == pytest.approx(1.0, abs=1e-10)

@@ -2,10 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import BENCH_BEAM, child_env
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "flexmove"
 
 
 def imported_modules(*argv, cwd=None):
@@ -87,6 +90,19 @@ def test_no_job_loads_dataclasses_or_inspect(job_modules, argv, loads_numpy):
     assert "inspect" not in modules or loads_numpy
 
 
+def test_every_shipped_module_is_on_a_job_path(job_modules):
+    # what no job imports is test code and lives in tests/reference.py; the runs are
+    # the ones the tests above made, so this starts no child process of its own
+    argvs = [param.values[0] for param in JOBS]
+    loaded = set().union(*map(job_modules, argvs))
+    if any(argv[:2] == ("-m", "flexmove") for argv in argvs):
+        loaded.add("flexmove.__main__")  # run as the script, which no import records
+    shipped = {"flexmove" if path.stem == "__init__" else f"flexmove.{path.stem}"
+               for path in PACKAGE.glob("*.py")}
+    assert "flexmove.motion" in shipped
+    assert sorted(shipped - loaded) == []
+
+
 def fresh_python(code, **env):
     """Standard output words of a fresh `python -c code` with no OPENBLAS_NUM_THREADS
     of its own unless given in env."""
@@ -105,14 +121,3 @@ def test_numpy_loads_without_a_blas_thread_pool():
 def test_an_explicit_blas_thread_count_wins():
     code = "import os, flexmove, numpy; print(os.environ['OPENBLAS_NUM_THREADS'])"
     assert fresh_python(code, OPENBLAS_NUM_THREADS="2") == ["2"]
-
-
-@pytest.mark.parametrize("argv,loads_numpy", JOBS)
-def test_no_job_loads_the_oracles(job_modules, argv, loads_numpy):
-    assert "flexmove.oracles" not in job_modules(argv)
-
-
-def test_the_oracles_load_no_numpy():
-    modules = imported_modules("-c", "import flexmove.oracles")
-    assert "flexmove.oracles" in modules
-    assert sorted(m for m in modules if m == "numpy" or m.startswith("numpy.")) == []

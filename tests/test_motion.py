@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 import reference
 from conftest import BENCH, TWO_PI, spec_params_with_mass
-from flexmove import MotionSpec, TimeSeries
+from flexmove import MotionSpec, TimeSeries, integrate, sweep_n
 from flexmove import motion
 from flexmove.motion import simpson, simpson_grid, timing_residual
-from flexmove.oracles import moment_integrals
 from flexmove.timeseries import read_numeric_csv
+from reference import acceleration, moment_integrals, position, velocity
 
 # Frozen from t1 = 2*pi*n/k with the bench numbers (L=0.41, k=5.78, n=2).
 BENCH_T1 = 2.174112563037919
@@ -129,39 +129,39 @@ class TestSpecConstruction:
 
 class TestMotionLaw:
     def test_position_examples(self, bench_spec):
-        assert bench_spec.position(0.0) == 0.0
-        assert bench_spec.position(bench_spec.t1) == pytest.approx(0.41, rel=1e-12)
-        assert bench_spec.position(bench_spec.t1 / 2) == pytest.approx(0.205, rel=1e-12)
+        assert position(bench_spec, 0.0) == 0.0
+        assert position(bench_spec, bench_spec.t1) == pytest.approx(0.41, rel=1e-12)
+        assert position(bench_spec, bench_spec.t1 / 2) == pytest.approx(0.205, rel=1e-12)
 
     def test_velocity_examples(self, bench_spec):
-        assert bench_spec.velocity(0.0) == 0.0
-        assert bench_spec.velocity(bench_spec.t1) == pytest.approx(0.0, abs=1e-15)
+        assert velocity(bench_spec, 0.0) == 0.0
+        assert velocity(bench_spec, bench_spec.t1) == pytest.approx(0.0, abs=1e-15)
         # peak at mid-move is L*p/pi
-        assert bench_spec.velocity(bench_spec.t1 / 2) == pytest.approx(0.3771653841391736, rel=1e-12)
-        assert bench_spec.velocity(bench_spec.t1 / 4) == pytest.approx(0.18858269206958678, rel=1e-12)
+        assert velocity(bench_spec, bench_spec.t1 / 2) == pytest.approx(0.3771653841391736, rel=1e-12)
+        assert velocity(bench_spec, bench_spec.t1 / 4) == pytest.approx(0.18858269206958678, rel=1e-12)
 
     def test_acceleration_examples(self, bench_spec):
-        assert bench_spec.acceleration(0.0) == 0.0
-        assert bench_spec.acceleration(bench_spec.t1) == pytest.approx(0.0, abs=1e-12)
+        assert acceleration(bench_spec, 0.0) == 0.0
+        assert acceleration(bench_spec, bench_spec.t1) == pytest.approx(0.0, abs=1e-12)
         assert bench_spec.peak_acceleration == pytest.approx(0.5450039800811058, rel=1e-12)
-        assert bench_spec.acceleration(bench_spec.t1 / 4) == pytest.approx(
+        assert acceleration(bench_spec, bench_spec.t1 / 4) == pytest.approx(
             bench_spec.peak_acceleration, rel=1e-12)
-        assert bench_spec.acceleration(3 * bench_spec.t1 / 4) == pytest.approx(
+        assert acceleration(bench_spec, 3 * bench_spec.t1 / 4) == pytest.approx(
             -bench_spec.peak_acceleration, rel=1e-12)
 
     def test_out_of_range_rejected(self, bench_spec):
         with pytest.raises(ValueError, match="outside the motion interval"):
-            bench_spec.position(-0.1)
+            position(bench_spec, -0.1)
         with pytest.raises(ValueError, match="outside the motion interval"):
-            bench_spec.velocity(bench_spec.t1 * 1.001)
+            velocity(bench_spec, bench_spec.t1 * 1.001)
         with pytest.raises(ValueError, match="outside the motion interval"):
-            bench_spec.acceleration(np.array([0.0, bench_spec.t1 + 0.1]))
+            acceleration(bench_spec, np.array([0.0, bench_spec.t1 + 0.1]))
 
     def test_array_evaluation_matches_scalars(self, bench_spec):
         t = np.linspace(0.0, bench_spec.t1, 7)
-        s = bench_spec.position(t)
+        s = position(bench_spec, t)
         assert isinstance(s, np.ndarray)
-        assert s[3] == bench_spec.position(float(t[3]))
+        assert s[3] == position(bench_spec, float(t[3]))
 
     @settings(max_examples=60, deadline=None)
     @given(params=spec_params_with_mass)
@@ -169,12 +169,12 @@ class TestMotionLaw:
         spec = make(params)
         v_scale = spec.L * spec.p / math.pi
         a_scale = spec.peak_acceleration
-        assert spec.position(0.0) == 0.0
-        assert spec.velocity(0.0) == 0.0
-        assert spec.acceleration(0.0) == 0.0
-        assert abs(spec.position(spec.t1) - spec.L) <= 1e-12 * spec.L
-        assert abs(spec.velocity(spec.t1)) <= 1e-12 * v_scale
-        assert abs(spec.acceleration(spec.t1)) <= 1e-12 * a_scale
+        assert position(spec, 0.0) == 0.0
+        assert velocity(spec, 0.0) == 0.0
+        assert acceleration(spec, 0.0) == 0.0
+        assert abs(position(spec, spec.t1) - spec.L) <= 1e-12 * spec.L
+        assert abs(velocity(spec, spec.t1)) <= 1e-12 * v_scale
+        assert abs(acceleration(spec, spec.t1)) <= 1e-12 * a_scale
 
     @settings(max_examples=60, deadline=None)
     @given(params=spec_params_with_mass, frac=st.floats(0.0, 1.0))
@@ -182,25 +182,25 @@ class TestMotionLaw:
         spec = make(params)
         t = frac * spec.t1
         # the control is skew symmetric and velocity mirror symmetric about mid-move
-        assert abs(spec.acceleration(spec.t1 - t) + spec.acceleration(t)) \
+        assert abs(acceleration(spec, spec.t1 - t) + acceleration(spec, t)) \
             <= 1e-12 * spec.peak_acceleration
-        assert abs(spec.velocity(spec.t1 - t) - spec.velocity(t)) \
+        assert abs(velocity(spec, spec.t1 - t) - velocity(spec, t)) \
             <= 1e-12 * spec.L * spec.p / math.pi
-        assert spec.velocity(t) >= 0.0
+        assert velocity(spec, t) >= 0.0
 
     def test_position_monotone(self, bench_spec):
-        s = bench_spec.position(np.linspace(0.0, bench_spec.t1, 4001))
+        s = position(bench_spec, np.linspace(0.0, bench_spec.t1, 4001))
         assert np.all(np.diff(s) >= -1e-15 * bench_spec.L)
 
     def test_derivative_consistency(self, bench_spec):
         # central differences converge at second order onto the closed forms
         t = np.linspace(0.05, bench_spec.t1 - 0.05, 17)
         for h in (1e-4, 5e-5):
-            ds = (bench_spec.position(t + h) - bench_spec.position(t - h)) / (2 * h)
-            dv = (bench_spec.velocity(t + h) - bench_spec.velocity(t - h)) / (2 * h)
+            ds = (position(bench_spec, t + h) - position(bench_spec, t - h)) / (2 * h)
+            dv = (velocity(bench_spec, t + h) - velocity(bench_spec, t - h)) / (2 * h)
             bound = bench_spec.L * bench_spec.p**3 / TWO_PI * h * h  # |f'''| h^2 scale
-            assert np.max(np.abs(ds - bench_spec.velocity(t))) <= bound
-            assert np.max(np.abs(dv - bench_spec.acceleration(t))) <= bench_spec.p * bound
+            assert np.max(np.abs(ds - velocity(bench_spec, t))) <= bound
+            assert np.max(np.abs(dv - acceleration(bench_spec, t))) <= bench_spec.p * bound
 
 
 class TestSampling:
@@ -217,9 +217,9 @@ class TestSampling:
 
     def test_samples_match_closed_forms_exactly(self, bench_spec):
         table = bench_spec.sample_uniform(333.0)
-        assert np.array_equal(table.s, bench_spec.position(table.t))
-        assert np.array_equal(table.v, bench_spec.velocity(table.t))
-        assert np.array_equal(table.a, bench_spec.acceleration(table.t))
+        assert np.array_equal(table.s, position(bench_spec, table.t))
+        assert np.array_equal(table.v, velocity(bench_spec, table.t))
+        assert np.array_equal(table.a, acceleration(bench_spec, table.t))
 
     @settings(max_examples=60, deadline=None)
     @given(case=spec_and_rate(), block=st.integers(1, 5000) | st.just(1 << 16))
@@ -231,8 +231,8 @@ class TestSampling:
             mp.setattr(motion, "_BLOCK_ROWS", block)
             table = spec.sample_uniform(rate)
         t = np.arange(math.floor(rate * spec.t1) + 1) / rate
-        expected = {"t": t, "s": spec.position(t), "v": spec.velocity(t),
-                    "a": spec.acceleration(t)}
+        expected = {"t": t, "s": position(spec, t), "v": velocity(spec, t),
+                    "a": acceleration(spec, t)}
         for name, column in expected.items():
             assert np.asarray(getattr(table, name)).tobytes() == column.tobytes(), (
                 f"column {name} at {rate!r} Hz differs from the array law")
@@ -311,6 +311,30 @@ class TestMoments:
         # 1.5e7 points: past the limit, yet small enough (120 MB) to allocate if unguarded
         with pytest.raises(ValueError, match="^quadrature grid .* more than the limit of 10000000"):
             simpson_grid(1.0, 1.0 / 1.5e7)
+
+
+#: a step that splits [0, 1] and [2, 3] into 1024 intervals exactly: 1025 grid points
+GRID_STEP = 2.0**-10
+
+#: every grid sized from user input, built with 1025 points (k = 4*pi and n = 2 give t1 = 1)
+USER_GRIDS = {
+    "sample_uniform": lambda: MotionSpec(L=1.0, k=2 * TWO_PI, n=2, m=1.0).sample_uniform(1024.0),
+    "integrate": lambda: integrate(lambda t: 0.0, 5.78, 1.0, GRID_STEP),
+    # a small range at a fine step: (n_to + n_from) / step or (n_to - n_from) * step
+    # would count 5121 or 1 points
+    "sweep_n": lambda: sweep_n(0.41, 5.78, 0.09, 2.0, 3.0, GRID_STEP),
+    "simpson_grid": lambda: simpson_grid(1.0, GRID_STEP),
+}
+
+
+@pytest.mark.parametrize("build", USER_GRIDS.values(), ids=USER_GRIDS)
+def test_a_grid_at_the_limit_is_accepted_and_one_point_more_is_not(monkeypatch, build):
+    # check_grid_size reads the limit when it is called
+    monkeypatch.setattr(motion, "MAX_GRID_POINTS", 1025)
+    assert len(build()) == 1025
+    monkeypatch.setattr(motion, "MAX_GRID_POINTS", 1024)
+    with pytest.raises(ValueError, match="would hold 1025 points, more than the limit of 1024$"):
+        build()
 
 
 class TestTimingResidual:

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 import reference
 from conftest import TWO_PI, spec_params
 from flexmove import oscillator
-from flexmove import (MotionSpec, final_relative_state, integrate, relative_motion,
-                      residual_report, simulate_relative, tip_trace, write_relative_trace)
+from flexmove import (MotionSpec, ResidualReport, final_relative_state, integrate,
+                      relative_motion, residual_report, simulate_relative, tip_trace,
+                      write_relative_trace)
 from flexmove.oscillator import action_value
-from flexmove.oracles import euler_lagrange_residual
 from flexmove.timeseries import read_numeric_csv
+from reference import acceleration, euler_lagrange_residual, position, velocity
 from test_acceptance import ORACLE_TOL
 
 # Frozen oracle values for the bench move (L=0.41, k=5.78, n=2, m=0.09):
@@ -57,7 +58,7 @@ class TestClosedForm:
         spec = MotionSpec(L=L, k=k, n=float(n), m=0.1)
         t = frac * spec.t1
         x, _, a = relative_motion(spec, t)
-        residual = a + k * k * x + spec.acceleration(t)
+        residual = a + k * k * x + acceleration(spec, t)
         assert abs(residual) <= 1e-10 * max(1.0, spec.peak_acceleration)
 
     @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-6, 1e-3])
@@ -82,7 +83,7 @@ def test_integrate_matches_the_numpy_scalar_loop(params, per_period, x0, v0):
     L, k, n = params
     spec = MotionSpec(L=L, k=k, n=float(n), m=0.1)
     steps = per_period * n
-    for forcing in (spec.acceleration, lambda t: 0.25):
+    for forcing in (lambda t: acceleration(spec, t), lambda t: 0.25):
         trace = integrate(forcing, spec.k, spec.t1, spec.t1 / steps, initial_state=(x0, v0))
         t, xs, vs = reference.rk4(forcing, spec.k, spec.t1, steps, x0, v0)
         assert (trace.t.tobytes(), trace.x.tobytes(), trace.v.tobytes()) == \
@@ -95,15 +96,15 @@ def test_integrate_matches_the_numpy_scalar_loop(params, per_period, x0, v0):
 # exactly 50 steps per period, where t1 / 500 rounds an ulp above 2*pi/k/50
 @example(params=(1.0, 9.0, 10), exploratory_n=2.0, strict=True, steps_per_move=500.0)
 def test_simulate_relative_matches_integrate(params, exploratory_n, strict, steps_per_move):
-    # through one integrator, the math law of simulate_relative equals the numpy law of
-    # spec.acceleration bit for bit, for mistimed moves too and for steps that do not
+    # through one integrator, the math law of simulate_relative equals the numpy law
+    # `acceleration` bit for bit, for mistimed moves too and for steps that do not
     # divide t1
     L, k, n = params
     spec = (MotionSpec(L=L, k=k, n=float(n), m=0.1) if strict
             else MotionSpec(L=L, k=k, n=exploratory_n, m=0.1, exploratory=True))
     step = spec.t1 / steps_per_move
     trace = simulate_relative(spec, step)
-    reference = integrate(spec.acceleration, spec.k, spec.t1, step)
+    reference = integrate(lambda t: acceleration(spec, t), spec.k, spec.t1, step)
     for name in ("t", "x", "v"):
         assert getattr(trace, name).tobytes() == getattr(reference, name).tobytes(), name
 
@@ -111,7 +112,8 @@ def test_simulate_relative_matches_integrate(params, exploratory_n, strict, step
 def test_default_integration_matches_the_numpy_scalar_loop(bench_spec):
     # the simulate default: 20 000 steps
     trace = simulate_relative(bench_spec)
-    _, xs, vs = reference.rk4(bench_spec.acceleration, bench_spec.k, bench_spec.t1, 20_000)
+    _, xs, vs = reference.rk4(lambda t: acceleration(bench_spec, t), bench_spec.k,
+                              bench_spec.t1, 20_000)
     assert trace.x.tobytes() == xs.tobytes() and trace.v.tobytes() == vs.tobytes()
 
 
@@ -192,6 +194,12 @@ class TestIntegrator:
         with pytest.raises(ValueError, match="too coarse"):
             integrate(lambda t: 0.0, 5.78, 10.0, 2 * math.pi / 5.78 / 50 * (1 + 1e-9))
 
+    def test_the_rounding_slack_above_the_coarsest_step_is_closed(self):
+        step = TWO_PI / 5.78 / 50 * (1.0 + 1e-12)
+        assert len(integrate(lambda t: 0.0, 5.78, 10 * step, step)) == 11
+        with pytest.raises(ValueError, match="too coarse"):
+            integrate(lambda t: 0.0, 5.78, 10 * step, math.nextafter(step, math.inf))
+
     def test_non_finite_frequency_rejected(self):
         # a NaN k used to pass every comparison and return an all-NaN trace
         with pytest.raises(ValueError, match="^k must be a positive finite number"):
@@ -251,6 +259,11 @@ REPORT_KEYS = ["L", "k", "n", "m", "p", "t1", "x_end", "v_end", "amplitude", "qu
 
 
 class TestResidualReport:
+    def test_an_amplitude_equal_to_the_tolerance_is_quiescent(self, bench_spec):
+        report = ResidualReport(bench_spec, bench_spec.L * 1e-6, 0.0)
+        assert report.amplitude == report.tolerance
+        assert report.quiescent
+
     @pytest.mark.parametrize("route", ["closed-form", "rk4"])
     @pytest.mark.parametrize("spec", REPORT_SPECS,
                              ids=[f"n={s.n:g}{'-exploratory' * s.exploratory}"
@@ -330,7 +343,7 @@ class TestResidualReport:
         assert report.amplitude >= abs(report.x_end)
 
     def test_partial_trace_rejected(self, bench_spec):
-        partial = integrate(bench_spec.acceleration, bench_spec.k,
+        partial = integrate(lambda t: acceleration(bench_spec, t), bench_spec.k,
                             bench_spec.t1 / 2, bench_spec.t1 / 20_000)
         with pytest.raises(ValueError, match="cover"):
             residual_report(bench_spec, partial)
@@ -418,8 +431,8 @@ class TestAction:
         def perturbed(eps):
             return action_value(
                 bench_spec,
-                position_fn=lambda t: bench_spec.position(t) + eps * eta(t),
-                velocity_fn=lambda t: bench_spec.velocity(t) + eps * eta_dot(t))
+                position_fn=lambda t: position(bench_spec, t) + eps * eta(t),
+                velocity_fn=lambda t: velocity(bench_spec, t) + eps * eta_dot(t))
 
         eps = 1e-2
         delta_full = perturbed(eps) - base
@@ -476,7 +489,7 @@ class TestTipTrace:
     def test_is_sum_of_components(self, bench_spec):
         trace = tip_trace(bench_spec, 500.0)
         t = trace.t
-        expected = bench_spec.acceleration(t) + relative_motion(bench_spec, t)[2]
+        expected = acceleration(bench_spec, t) + relative_motion(bench_spec, t)[2]
         assert np.array_equal(trace.values, expected)
 
 
@@ -511,5 +524,5 @@ def test_relative_trace_csv(bench_spec, tmp_path):
     assert header == ["t", "x_r", "v_r", "a_r"]
     assert len(t) == len(trace)
     # a_r column reproduces the oscillator equation at the grid points
-    u = bench_spec.acceleration(trace.t)
+    u = acceleration(bench_spec, trace.t)
     assert np.allclose(a, -bench_spec.k**2 * np.asarray(trace.x) - u, rtol=1e-10, atol=1e-12)
