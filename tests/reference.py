@@ -4,7 +4,9 @@
   t_end it runs on numpy scalars; with arrays it steps one oscillator per
   element in lockstep, as ``lockstep`` does for a list of specs.
 - ``numpy_scalar_biquad_pass`` and ``numpy_scalar_cascade``: the filter
-  cascade as a loop over numpy scalars.
+  cascade as a loop over numpy scalars.  ``precise_cascade`` and
+  ``precise_filtfilt`` run that loop in more than double precision, the
+  reference that filtfilt's ERROR_BOUND is stated against.
 - ``relative_motion``, ``end_state`` and ``figures``: the paper's closed forms
   in mpmath at DPS digits, from the spec's float inputs taken as exact.
 - ``position``, ``velocity`` and ``acceleration``: the motion law of a spec on
@@ -21,6 +23,7 @@ from typing import NamedTuple
 import mpmath
 import numpy as np
 
+from flexmove.filters import PAD_FACTOR
 from flexmove.motion import DEFAULT_QUAD_INTERVALS, _like, simpson, simpson_grid
 
 #: decimal digits of the mpmath closed forms
@@ -113,6 +116,37 @@ def numpy_scalar_cascade(sections, x):
     for sec in sections:
         y = numpy_scalar_biquad_pass(sec, y)
     return y + offset
+
+
+#: np.longdouble carries more mantissa bits than float64 (x87 extended or quad);
+#: where it does not, the precise routes run on mpmath numbers, slowly
+LONGDOUBLE = np.finfo(np.longdouble).nmant > 52
+
+
+def _precise_cascade(sections, x):
+    """numpy_scalar_cascade on the float64 values x taken as exact, in np.longdouble
+    where LONGDOUBLE holds, else on mpmath numbers at DPS digits (call inside
+    mpmath.workdps).  The result stays in that type."""
+    if LONGDOUBLE:
+        return numpy_scalar_cascade(sections, x.astype(np.longdouble))
+    return numpy_scalar_cascade(sections, np.array([mpmath.mpf(v) for v in x], dtype=object))
+
+
+def precise_cascade(sections, x):
+    """One pass of the cascade in extended precision, rounded once to float64."""
+    with mpmath.workdps(DPS):
+        return _precise_cascade(sections, x).astype(float)
+
+
+def precise_filtfilt(design, x):
+    """filtfilt's odd-reflection padding in float64, as filtfilt pads, then both
+    passes of the cascade in extended precision, rounded once to float64."""
+    pad = PAD_FACTOR * design.order
+    y = np.concatenate((2.0 * x[0] - x[pad:0:-1], x, 2.0 * x[-1] - x[-2:-pad - 2:-1]))
+    with mpmath.workdps(DPS):
+        y = _precise_cascade(design.sections, y)
+        y = numpy_scalar_cascade(design.sections, y[::-1])[::-1]
+        return y[pad:-pad].astype(float)
 
 
 def _inputs(spec):

@@ -253,13 +253,22 @@ class TestFilter:
         assert stderr.startswith(message), stderr
         assert not out.exists()
 
+    def test_a_cutoff_below_the_accuracy_floor_fails(self, tmp_path, capsys):
+        inp = self.make_trace(tmp_path, np.zeros(400))
+        out = tmp_path / "filtered.csv"
+        code, _, stderr = run(capsys, "filter", "--in", str(inp), "--out", str(out),
+                              "--cutoff-hz", "0.5")
+        assert one_error_line(code, stderr), stderr
+        assert stderr.startswith("error: cutoff 0.5 Hz is below the lowest admissible cutoff "), stderr
+        assert not out.exists()
+
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "filter", "--in", str(tmp_path / "absent.csv"),
                               "--out", str(tmp_path / "x.csv"))
         assert code == 1
         assert "error" in stderr
 
-    @pytest.mark.parametrize("peak", [3e307, 6e307])
+    @pytest.mark.parametrize("peak", [5e307, 6e307])
     def test_overflowing_trace_fails_with_one_line(self, tmp_path, peak):
         # a child process, so that a numpy warning would reach stderr as a user sees it
         inp = self.make_trace(tmp_path, peak * (-1.0) ** np.arange(40), rate=10.0)

@@ -41,7 +41,7 @@ GOLDEN = {
         "stdout":
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "filtered.csv":
-            "f5fb5fa1baf8c2f246083990066f237711d98abea7df6fb81c1bee10d2a30502",
+            "d7e3434b8510337163b06b6af5436ef78f0961529592043953bf3748a053c1a0",
     },
     "plan": {
         "stdout":
@@ -111,7 +111,7 @@ def test_golden_output(name, tmp_path, monkeypatch, capsys):
 #: time column, and filtfilt passing it through
 TRACE_GOLDEN = {
     "tip": "2b53ec4abaee9b42027fee9577018b2b483abd8993bee6cc67e80aeb76c7c5ba",
-    "tip-filtered": "09dc790a9a165a404e9f2c61514681045dddfcc314866922b6bbe199889ebf6e",
+    "tip-filtered": "6f8f48bfc20b0d3607905d977c5f4fef90f5ce435b83d609e9b772bbb63d1076",
 }
 
 
