@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+import sys
+from functools import cache
 from itertools import chain, islice
 
 from ._numpy import np
@@ -12,8 +14,20 @@ from ._record import Record
 #: reloaded value differs from the written float by up to 5e-12 relative.
 CSV_DIGITS = 12
 
-#: rows formatted per string operation by write_csv
-_WRITE_ROWS = 1024
+#: the template of one CSV cell
+_CELL = b"%%.%dg" % CSV_DIGITS
+
+#: rows per block of write_csv: one string operation of the template, or one
+#: pass of the float64 formatter
+_WRITE_ROWS = 2048
+
+#: the float64 formatter writes a cell from rint(m), m = |v| * 10**(11 - e), only
+#: when the fraction of m lies further than this from 1/2: m < 2**40, so the one
+#: rounding of the product moved m by at most 2**-14
+_TIE_MARGIN = 2.0 ** -13
+
+#: exponent slot of a cell the float64 formatter leaves to the template
+_FALLBACK = 16
 
 #: allowed relative deviation of any time step from the median step
 JITTER_TOL = 1e-3
@@ -55,7 +69,7 @@ class TimeSeries(Record):
         if not np.isfinite(t).all():
             raise ValueError("time column must hold finite numbers")
         steps = np.diff(t)
-        median = float(np.median(steps))
+        median = _median(steps)
         if median <= 0.0:
             raise ValueError("time column must be strictly increasing")
         if np.max(np.abs(steps - median)) > JITTER_TOL * median:
@@ -70,6 +84,126 @@ class TimeSeries(Record):
         return len(self.values)
 
 
+def _median(x) -> float:
+    """np.median of a NaN-free float64 array, bit for bit, by np.partition:
+    np.median's NaN check imports numpy.ma, 11-17 ms on its first call."""
+    # np.mean of the middle one or two: their sum from +0.0 (so -0.0 comes out
+    # +0.0), over their count
+    k = len(x) // 2
+    if len(x) % 2:
+        return 0.0 + float(np.partition(x, k)[k])
+    below, above = np.partition(x, (k - 1, k))[k - 1:k + 1].tolist()
+    return (0.0 + below + above) / 2
+
+
+def _low(n: int) -> int:
+    """Mask of the low n bytes of a u8 word, n clipped to 0..8."""
+    return (1 << 8 * max(0, min(n, 8))) - 1
+
+
+@cache
+def _format_tables():
+    """Lookup tables of the float64 formatter, built on its first call.
+
+    By a 4-digit group: its ASCII digits as a little-endian u8 word, and its
+    trailing zeros (4 for 0000).  By the exponent slot e + 4 of a fixed-notation
+    cell (-4 <= e <= 11; slot _FALLBACK marks a cell left to the template):
+    10**(11 - e), exact in float64, and the masks and point bytes that open a
+    byte for the point after digit p = e + 1 of the 12 (p = 12 for e < 0, whose
+    prefix carries the point).  By slot * 12 + trailing zeros: the masks of the
+    digit bytes kept.  By slot * 2 + sign: the sign and prefix word.
+    """
+    group = np.arange(10_000)
+    digits = sum((48 + group // 10 ** (3 - j) % 10).astype(np.uint64) << np.uint64(8 * j)
+                 for j in range(4))
+    zeros = np.zeros(10_000, np.intp)
+    for j in range(1, 5):
+        zeros[group % 10 ** j == 0] = j
+    scale = np.array([float(10 ** (11 - e)) for e in range(-4, 12)])
+    opening, kept, prefix = [], [], []
+    for i in range(_FALLBACK + 1):
+        e, p = i - 4, (i - 3 if i >= 4 else 12)
+        # the point goes into word 1 (p < 8) or word 2; the bytes above it move up one
+        opening.append((_low(p), 46 << 8 * p if p < 8 else 0,
+                        _low(p - 8), 46 << 8 * (p - 8) if p >= 8 else 0))
+        for tz in range(12):
+            digits_kept = max(12 - tz, e + 1)  # integer digits always stay
+            length = digits_kept + (digits_kept > p)  # the point stays before a digit
+            kept.append((0, 0) if i == _FALLBACK else (_low(length), _low(length - 8)))
+        for sign in (b"\0", b"-"):
+            text = b"\1" if i == _FALLBACK else sign + (b"0." + b"0" * (-e - 1) if e < 0 else b"")
+            prefix.append(int.from_bytes(text, "little"))
+    opening, kept = np.array(opening, np.uint64).T, np.array(kept, np.uint64).T
+    return digits, zeros, scale, opening.copy(), kept.copy(), np.array(prefix, np.uint64)
+
+
+def _format_float64(table):
+    """The bytes of the ``%.12g`` row template applied to a C-ordered float64
+    table, or None when most cells would fall back to the template.
+
+    Each cell is written as three little-endian u8 words, and their NUL bytes are
+    dropped: word 0 holds the sign and, for e < 0, the prefix "0.0..."; words 1
+    and 2 hold the 12 digits with the point opened after digit e + 1, trailing
+    zeros and a bare point masked off, and the separator in the last byte.  A
+    cell that fails the certificate gets a \\x01 byte in word 0 instead; the
+    template writes those cells in one pass, spliced in at the \\x01 bytes.
+    """
+    digits, zeros, scale, opening, kept, prefix = _format_tables()
+    v = table.ravel()
+    a = np.abs(v)
+    fixed = (a >= 1e-4) & (a < 1e12)  # NaN fails both
+    x = np.where(fixed, a, 1.0)
+    slot = np.floor(np.log10(x)).astype(np.intp)
+    slot += 4
+    np.clip(slot, 0, _FALLBACK - 1, out=slot)  # a log10 one off only moves m out of range
+    m = x * scale.take(slot)
+    r = np.rint(m)
+    ok = fixed & (m >= 1e11) & (m < 1e12 - 0.5) & (np.abs(m - r) < 0.5 - _TIE_MARGIN)
+    certified = np.count_nonzero(ok)
+    if 2 * certified < len(v):
+        return None
+    uncertified = ~ok
+    slot[uncertified], r[uncertified] = _FALLBACK, 1e11  # masked off, digits in range
+    mantissa = r.astype(np.int64)
+    high = mantissa // 100_000_000
+    rest = mantissa - high * 100_000_000
+    middle = rest // 10_000
+    low = rest - middle * 10_000
+    head = digits.take(high)  # digits 1-8
+    head |= digits.take(middle) << np.uint64(32)
+    tail = digits.take(low)  # digits 9-12
+    tz = zeros.take(low)
+    if (bare := low == 0).any():  # digits 9-12 all zeros
+        tz[bare] += zeros.take(middle[bare]) + (middle[bare] == 0) * zeros.take(high[bare])
+    # open a byte for the point: the digits after it move up one byte
+    low1, dot1, low2, dot2 = (column.take(slot) for column in opening)
+    after = head ^ (head & low1)
+    out = np.empty((len(v), 3), "<u8")
+    w1, w2 = out[:, 1], out[:, 2]
+    np.bitwise_or(head & low1, dot1, out=w1)
+    w1 |= after << np.uint64(8)
+    np.bitwise_or(tail & low2, dot2, out=w2)
+    w2 |= (tail ^ (tail & low2)) << np.uint64(8)
+    w2 |= after >> np.uint64(56)  # digit 8, when the point falls before it
+    length = slot * 12 + tz
+    w1 &= kept[0].take(length)
+    w2 &= kept[1].take(length)
+    separators = np.full(table.shape[1], ord(",") << 56, np.uint64)
+    separators[-1] = ord("\n") << 56
+    out.reshape(*table.shape, 3)[:, :, 2] |= separators
+    slot *= 2
+    slot += np.signbit(v)
+    prefix.take(slot, out=out[:, 0])
+    text = out.tobytes().translate(None, b"\0")
+    if certified == len(v):
+        return text
+    spliced = [b""] * (2 * (len(v) - certified) + 1)
+    spliced[0::2] = text.split(b"\1")
+    spliced[1::2] = (b"\1".join([_CELL] * (len(v) - certified))
+                     % tuple(v[uncertified].tolist())).split(b"\1")
+    return b"".join(spliced)
+
+
 def _cells(column):
     """A column as write_csv zips it: a list or tuple as it is, anything else
     through a memoryview, which yields Python numbers one at a time."""
@@ -79,25 +213,54 @@ def _cells(column):
 def write_csv(path, header, columns) -> None:
     """Write equal-length numeric columns under a comma-separated header.
 
-    The bytes are those of ``np.savetxt`` with a ``%.12g`` cell format, but the
-    cells are Python numbers formatted _WRITE_ROWS rows at a time by one
-    template.  A header cell holding a comma, a quote or a line break is quoted
-    as the csv module quotes it, so that read_numeric_csv reads the header back.
+    The bytes are those of ``np.savetxt`` with a ``%.12g`` cell format, by one of
+    two routes chosen by column type, _WRITE_ROWS rows at a time:
+
+    - Columns that are all 1-D native float64 ndarrays go through a numpy
+      formatter.  For a cell v with |v| in [1e-4, 1e12) it takes e from log10 and
+      m = |v| * 10**(11 - e), whose power of ten is exact, so m is rounded once.
+      It writes the 12 digits of rint(m) only under a certificate: 1e11 <= m <
+      1e12 - 1/2, and the fraction of m further than _TIE_MARGIN from 1/2, so the
+      exact product rounds to the same integer, the digits the template's
+      correctly rounded conversion gives.  Every other cell (exponent notation,
+      zeros, a near tie) goes to the template, and a block where most cells would
+      goes through the template whole.
+    - Anything else (lists, tuples, ``array('d')``, other dtypes) goes through
+      the template alone: Python numbers formatted by one ``%`` string
+      operation per block.
+
+    A header cell holding a comma, a quote or a line break is quoted as the csv
+    module quotes it, so that read_numeric_csv reads the header back.
     """
     lengths = [len(column) for column in columns]
     if len(set(lengths)) != 1:
         raise ValueError(f"need one or more columns of equal length, got lengths {lengths}")
-    flat = chain.from_iterable(zip(*map(_cells, columns)))
-    row = ",".join([f"%.{CSV_DIGITS}g"] * len(columns)) + "\n"
-    block, width = row * _WRITE_ROWS, _WRITE_ROWS * len(columns)
-    full, rest = divmod(lengths[0], _WRITE_ROWS)
+    row = b",".join([_CELL] * len(columns)) + b"\n"
     names = ['"' + name.replace('"', '""') + '"' if any(c in name for c in ',"\r\n') else name
              for name in header]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(names) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(names) + "\n").encode("utf-8"))
+        if _float64_arrays(columns):
+            for start in range(0, lengths[0], _WRITE_ROWS):
+                table = np.column_stack([column[start:start + _WRITE_ROWS] for column in columns])
+                text = _format_float64(table)
+                fh.write(row * len(table) % tuple(table.ravel().tolist()) if text is None else text)
+            return
+        flat = chain.from_iterable(zip(*map(_cells, columns)))
+        block, width = row * _WRITE_ROWS, _WRITE_ROWS * len(columns)
+        full, rest = divmod(lengths[0], _WRITE_ROWS)
         for _ in range(full):
             fh.write(block % tuple(islice(flat, width)))
         fh.write(row * rest % tuple(islice(flat, rest * len(columns))))
+
+
+def _float64_arrays(columns) -> bool:
+    """Whether every column is a 1-D native float64 ndarray; never imports numpy,
+    since a process that has not loaded it holds no array."""
+    numpy = sys.modules.get("numpy")
+    return numpy is not None and all(
+        type(column) is numpy.ndarray and column.ndim == 1 and column.dtype == numpy.float64
+        for column in columns)
 
 
 def read_numeric_csv(path, n_columns: int | None = None):

@@ -14,10 +14,13 @@
 - ``moment_integrals``, ``euler_lagrange_residual`` and ``magnitude_response``:
   the Simpson moments of the control (C4), the stationarity residual of a
   trajectory (C6) and the cascade's gain (C7).
+- ``near_tie`` and ``adversarial_cells``: float64 values that a ``%.12g``
+  formatter must round as the correctly rounded template does.
 
 The package does not ship this module; it is test code only.
 """
 
+import math
 from typing import NamedTuple
 
 import mpmath
@@ -260,3 +263,43 @@ def magnitude_response(design, freq_hz):
     for sec in design.sections:
         h = h * (sec.b0 + sec.b1 * z1 + sec.b2 * z2) / (1.0 + sec.a1 * z1 + sec.a2 * z2)
     return abs(complex(h)) if np.ndim(freq_hz) == 0 else np.abs(h)
+
+
+#: values where a 12-digit formatter meets an edge: zeros, subnormals, the float
+#: range, and cells whose 12-digit rounding changes the notation or the exponent
+EDGE_CELLS = (0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7976931348623157e308,
+              -1.7976931348623157e308, 9.9999999999995e-05, 99999999999.95, 999999999999.5,
+              999999999999.4999, 1e12 - 0.5, -123456789012.5)
+
+
+def near_tie(k: int, e: int, ulps: int = 0) -> float:
+    """The float64 nearest the 13-digit decimal k5 * 10**(e - 12), a tie of its
+    12-digit rounding at exponent e, moved by `ulps` units in the last place."""
+    x = float(f"{k}5e{e - 12}")
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+def adversarial_cells(n: int = 40_000, seed: int = 0) -> np.ndarray:
+    """About n finite float64 cells, shuffled: random bit patterns, 12-digit
+    integers and their halves, near ties at every exponent from -5 to 12, powers
+    of ten and their neighbours, EDGE_CELLS, values below 1e-4, and for the rest
+    normal values spread over the fixed-notation range."""
+    rng = np.random.default_rng(seed)
+    part = n // 10
+    bits = rng.integers(0, 2**64, part, dtype=np.uint64).view(np.float64)
+    integers = rng.integers(10**11, 10**12, part).astype(float)
+    ties = [near_tie(int(k), int(e), int(u)) for k, e, u in zip(
+        rng.integers(10**11, 10**12, 2 * part), rng.integers(-5, 13, 2 * part),
+        rng.integers(-2, 3, 2 * part))]
+    powers = np.array([10.0 ** j for j in range(-6, 14)])
+    spread = rng.standard_normal(n - 6 * part) * 10.0 ** rng.uniform(-4, 12, n - 6 * part)
+    cells = np.concatenate([
+        integers, integers + 0.5, ties, powers, np.nextafter(powers, 0.0),
+        np.nextafter(powers, np.inf)])
+    cells = np.concatenate([
+        cells * rng.choice([-1.0, 1.0], len(cells)), bits[np.isfinite(bits)], EDGE_CELLS,
+        rng.uniform(-1e-4, 1e-4, part), spread])
+    rng.shuffle(cells)
+    return cells

@@ -1,7 +1,9 @@
 import math
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,28 +278,45 @@ def test_the_floor_admits_its_lowest_cutoff_and_not_one_ulp_less(order):
         FilterDesign(order, below, RATE)
 
 
-#: sha256 of filtfilt's output bytes on the bench move's tip trace, one line per order
+#: sha256 of filtfilt's output bytes on the bench move's tip trace, one line per
+#: order, then of the files save_trace writes for the order-8 output and for a
+#: column of adversarial cells
 DIGESTS = f"""
-import hashlib
-from flexmove import MotionSpec, design_butterworth, filtfilt, tip_trace
+import hashlib, tempfile
+from pathlib import Path
+import numpy as np
+from flexmove import MotionSpec, TimeSeries, design_butterworth, filtfilt, save_trace, tip_trace
+from reference import adversarial_cells
 trace = tip_trace(MotionSpec(**{BENCH!r}), 1500.0)
 for order in {ALLOWED_ORDERS!r}:
-    out = filtfilt(design_butterworth(order, 20.0, 1500.0), trace).values
-    print(hashlib.sha256(out.tobytes()).hexdigest())
+    filtered = filtfilt(design_butterworth(order, 20.0, 1500.0), trace)
+    print(hashlib.sha256(filtered.values.tobytes()).hexdigest())
+cells = adversarial_cells()
+with tempfile.TemporaryDirectory() as tmp:
+    for series in (filtered, TimeSeries(np.arange(len(cells)) / 1500.0, cells)):
+        save_trace(Path(tmp) / "trace.csv", series)
+        print(hashlib.sha256((Path(tmp) / "trace.csv").read_bytes()).hexdigest())
 """
 
 
 @pytest.mark.parametrize("setting", [("OPENBLAS_CORETYPE", "Nehalem"),
                                      ("OPENBLAS_CORETYPE", "Haswell"),
-                                     ("NPY_DISABLE_CPU_FEATURES", "X86_V4 AVX512_ICL AVX512_SPR")],
+                                     ("NPY_DISABLE_CPU_FEATURES", "X86_V4 AVX512_ICL AVX512_SPR"),
+                                     ("NPY_DISABLE_CPU_FEATURES",
+                                      "X86_V3 X86_V4 AVX512_ICL AVX512_SPR")],
                          ids=lambda setting: "=".join(setting))
 def test_the_bits_depend_on_no_blas_kernel_and_no_cpu_feature(setting, capsys):
     # a BLAS product (@, dot, matmul, an optimizing einsum) rounds by the kernel
-    # the CPU selects; numpy's own einsum loop rounds the same under each setting
+    # the CPU selects; numpy's own einsum loop rounds the same under each setting.
+    # save_trace's formatter takes log10, floor and rint, which have SIMD loops:
+    # those may move a cell between the formatter and the template, never a byte
     exec(DIGESTS, {})
     here = capsys.readouterr().out
+    env = child_env()
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).parent), env["PYTHONPATH"]])
     proc = subprocess.run([sys.executable, "-c", DIGESTS], capture_output=True, text=True,
-                          env=dict(child_env(), **dict([setting])), timeout=120, check=True)
+                          env=dict(env, **dict([setting])), timeout=120, check=True)
+    assert len(here.split()) == len(ALLOWED_ORDERS) + 2
     assert proc.stdout == here
 
 

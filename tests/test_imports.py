@@ -80,6 +80,15 @@ def test_numpy_loads_only_for_array_work(job_modules, argv, loads_numpy):
     assert bool(numpy_modules) == loads_numpy, numpy_modules[:5]
 
 
+def test_the_filter_job_loads_no_numpy_ma(job_modules):
+    # np.median imports numpy.ma on its first call, 11-17 ms of every filter job;
+    # TimeSeries takes its median step without it.  The run is the one the numpy
+    # test above made, so this starts no child process of its own
+    (filter_job,) = [param.values[0] for param in JOBS if param.id == "filter"]
+    modules = job_modules(filter_job)
+    assert "numpy" in modules and "numpy.ma" not in modules
+
+
 @pytest.mark.parametrize("argv,loads_numpy", JOBS)
 def test_no_job_loads_dataclasses_or_inspect(job_modules, argv, loads_numpy):
     # `import dataclasses` pulls in inspect, ast, dis and tokenize; with the records

@@ -1,5 +1,7 @@
 import math
+import operator
 import re
+import struct
 from array import array
 from unittest import mock
 
@@ -12,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 from flexmove import MotionSpec, TimeSeries, load_trace, save_trace, tip_trace
 from flexmove import timeseries
 from flexmove.timeseries import fmt, read_numeric_csv, write_csv
+from reference import EDGE_CELLS, adversarial_cells, near_tie
 
 
 class TestTimeSeries:
@@ -49,6 +52,23 @@ class TestTimeSeries:
     def test_rejects_single_sample(self):
         with pytest.raises(ValueError, match="two samples"):
             TimeSeries(t=np.zeros(1), values=np.zeros(1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=9))
+@example([0.1, math.inf, 0.1])
+@example([0.1, math.inf])
+@example([math.inf, -math.inf])
+@example([1.7976931348623157e308, 1.7976931348623157e308])
+@example([-0.0])
+@example([-0.0, -0.0])
+def test_median_has_the_bits_of_np_median(steps):
+    # TimeSeries takes its median step by np.partition, on odd and even lengths,
+    # because np.median's NaN check imports numpy.ma on its first call
+    steps = np.array(steps)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, and a sum past the range
+        expected = np.median(steps)
+    assert struct.pack("<d", timeseries._median(steps)) == struct.pack("<d", expected)
 
 
 @pytest.mark.parametrize("rate", [1000.0, 1500.0, 333.3])
@@ -202,6 +222,16 @@ def columns_of(rows: int, *types):
     return [make([i + j / 8 for i in range(rows)]) for j, make in enumerate(types)]
 
 
+BLOCK = timeseries._WRITE_ROWS
+
+#: EDGE_CELLS between as many cells that the float64 formatter certifies
+EDGES_SPLICED = [cell for edge in EDGE_CELLS for cell in (edge, 1.25)]
+
+#: nearly half of these need the template: the formatter writes their blocks
+#: and splices in the template's cells
+ADVERSARIAL = adversarial_cells()
+
+
 @settings(max_examples=100, deadline=None)
 @given(columns=st.integers(1, 4).flatmap(lambda width: st.integers(0, 12).flatmap(
            lambda rows: st.lists(st.tuples(st.one_of(
@@ -218,13 +248,64 @@ def columns_of(rows: int, *types):
 @example(columns=columns_of(9, tuple, np.array), block=4)
 @example(columns=columns_of(1023, list, np.array, COLUMN_TYPES[3]), block=1024)
 @example(columns=columns_of(1025, list, np.array, COLUMN_TYPES[3]), block=1024)
+# the float64 formatter, one row either side of a whole block
+@example(columns=columns_of(BLOCK - 1, np.array, np.array), block=BLOCK)
+@example(columns=columns_of(BLOCK, np.array, np.array), block=BLOCK)
+@example(columns=columns_of(BLOCK + 1, np.array, np.array), block=BLOCK)
+# columns where most cells need the template: 13-digit decimals ending in 5,
+# k + 0.5 at 12 integer digits, and values all below 1e-4
+@example(columns=[np.array([near_tie(123456789012 + 7 * i, i % 16 - 4) for i in range(40)])],
+         block=BLOCK)
+@example(columns=[np.array([123456789012.5 + i for i in range(40)])], block=BLOCK)
+@example(columns=[np.array([(i - 20) * 3.1e-6 for i in range(40)])], block=BLOCK)
+# zeros, subnormals, the float range and cells that round into another notation,
+# spliced into formatted blocks, in arrays and in reversed and strided views
+@example(columns=[np.array(EDGES_SPLICED)], block=BLOCK)
+@example(columns=[COLUMN_TYPES[4](EDGES_SPLICED), COLUMN_TYPES[5](EDGES_SPLICED)], block=BLOCK)
+@example(columns=[COLUMN_TYPES[4](EDGES_SPLICED), COLUMN_TYPES[5](EDGES_SPLICED)], block=3)
+@example(columns=[ADVERSARIAL, ADVERSARIAL[::-1]], block=BLOCK)
 def test_write_csv_matches_savetxt(tmp_path_factory, columns, block):
     # the replaced np.savetxt call is the reference, for any column dtype, for
-    # columns given as lists or tuples (zipped as they are) and as arrays, array('d')
-    # and reversed or strided views (read through a memoryview), in any block size
+    # columns given as lists or tuples (zipped as they are), array('d') and arrays
+    # of other dtypes (read through a memoryview), and float64 arrays and their
+    # reversed or strided views (the float64 formatter), in any block size
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(timeseries, "_WRITE_ROWS", block)
         assert_written_as_savetxt(tmp_path_factory, columns)
+
+
+#: finite float64 cells, subnormals included, and cells within two ulps of a tie
+#: of their 12-digit rounding at every exponent around the fixed notation
+NEAR_TIES = st.builds(near_tie, st.integers(10**11, 10**12 - 1), st.integers(-5, 12),
+                      st.integers(-2, 2))
+FINITE_CELLS = st.floats(allow_nan=False, allow_infinity=False) | NEAR_TIES | NEAR_TIES.map(
+    operator.neg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(FINITE_CELLS, min_size=1, max_size=30))
+@example(list(EDGE_CELLS))
+def test_each_float64_cell_is_written_as_the_template_writes_it(tmp_path_factory, values):
+    # every other cell is one the formatter certifies, so that the formatter
+    # writes the block and splices in the cells it leaves to the template
+    column = np.array([cell for value in values for cell in (value, len(values) + 0.25)])
+    path = tmp_path_factory.mktemp("csv") / "column.csv"
+    write_csv(path, ("x",), (column,))
+    assert path.read_bytes().split(b"\n")[1:-1] == [b"%.12g" % cell for cell in column.tolist()]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_an_exponent_off_by_one_changes_no_byte(tmp_path, monkeypatch, seed):
+    # log10 has SIMD loops that may round differently: whatever exponent it
+    # suggests, the certificate moves a cell to the template, never changes a byte
+    cells = adversarial_cells(8_000, seed)
+    expected = b"x\n" + b"".join(b"%.12g\n" % cell for cell in cells.tolist())
+    rng = np.random.default_rng(seed)
+    monkeypatch.setattr(timeseries.np, "log10", lambda x: np.log10(x) + rng.choice(
+        [-1.0, 0.0, 1.0], len(x), p=[0.1, 0.8, 0.1]))
+    path = tmp_path / "column.csv"
+    write_csv(path, ("x",), (cells,))
+    assert path.read_bytes() == expected
 
 
 #: dtypes a memoryview reads as Python numbers: native byte order, no half or
