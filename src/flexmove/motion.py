@@ -91,11 +91,6 @@ def _in_float_range(what: str, compute) -> float:
     return value
 
 
-def _like(t, values) -> float | np.ndarray:
-    """Return a scalar for scalar input, an array otherwise."""
-    return float(values) if np.ndim(t) == 0 else np.asarray(values)
-
-
 class SetpointTable(Record):
     """Uniform motion setpoints (time, position, velocity, acceleration) in ``array('d')``."""
 
@@ -176,13 +171,6 @@ class MotionSpec(Record):
     def guarantees_quiescence(self) -> bool:
         """True for strict specs (integer n >= 2); exploratory moves never qualify."""
         return not self.exploratory
-
-    def _times(self, t) -> np.ndarray:
-        arr = np.asarray(t, dtype=float)
-        slack = 1e-12 * self.t1
-        if np.any(arr < -slack) or np.any(arr > self.t1 + slack):
-            raise ValueError(f"time outside the motion interval [0, {self.t1:.12g}] s")
-        return arr
 
     def _laws(self, lib) -> tuple:
         """s, v and u as functions of the phase p*t.  With ``lib`` numpy they map

@@ -22,8 +22,8 @@ from typing import NamedTuple
 from ._numpy import np
 from ._record import Record
 from .beam import positive_finite
-from .motion import (DEFAULT_QUAD_INTERVALS, TWO_PI, MotionSpec, _like, check_grid_size,
-                     simpson, simpson_grid, timing_residual)
+from .motion import (DEFAULT_QUAD_INTERVALS, TWO_PI, MotionSpec, check_grid_size, simpson,
+                     simpson_grid, timing_residual)
 from .timeseries import TimeSeries, write_csv
 
 #: default number of RK4 steps across one move
@@ -36,6 +36,18 @@ MIN_STEPS_PER_PERIOD = 50
 QUIESCENCE_TOL_FACTOR = 1e-6
 
 
+def _times(spec: MotionSpec, t) -> np.ndarray:
+    arr, slack = np.asarray(t, dtype=float), 1e-12 * spec.t1
+    if np.any(arr < -slack) or np.any(arr > spec.t1 + slack):
+        raise ValueError(f"time outside the motion interval [0, {spec.t1:.12g}] s")
+    return arr
+
+
+def _like(t, values) -> float | np.ndarray:
+    """Return a scalar for scalar input, an array otherwise."""
+    return float(values) if np.ndim(t) == 0 else np.asarray(values)
+
+
 def relative_motion(spec: MotionSpec, t):
     """Closed-form relative displacement, velocity and acceleration at time t.
 
@@ -44,7 +56,7 @@ def relative_motion(spec: MotionSpec, t):
     sin((k - p)*t/2), where k - p = p*(n - 1), the factor n - 1 cancels against
     the gain's in closed form instead of in rounding as n approaches 1.
     """
-    arr = spec._times(t)
+    arr = _times(spec, t)
     k, p, n = spec.k, spec.p, spec.n
     scale = spec.L / (TWO_PI * (n + 1.0))
     half_sum = 0.5 * (k + p) * arr
@@ -231,9 +243,8 @@ def write_relative_trace(path, spec: MotionSpec, trace: OscillatorTrace) -> None
     The a_r column is -k*k * x_r - u(t), with the stiffness formed as integrate
     forms it and u evaluated as in simulate_relative.
     """
-    t1 = spec.t1
+    t1, nksq, p, law = spec.t1, -spec.k * spec.k, spec.p, spec._laws(math)[2]
     if trace.t[0] < -1e-12 * t1 or trace.t[-1] > t1 + 1e-12 * t1:
         raise ValueError(f"time outside the motion interval [0, {t1:.12g}] s")
-    nksq, p, law = -spec.k * spec.k, spec.p, spec._laws(math)[2]
     a = array("d", (nksq * x - law(p * t) for t, x in zip(trace.t, trace.x)))
     write_csv(path, ("t", "x_r", "v_r", "a_r"), (trace.t, trace.x, trace.v, a))

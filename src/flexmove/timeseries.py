@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-import sys
+from array import array
 from functools import cache
 from itertools import chain, islice
 
@@ -204,19 +204,18 @@ def _format_float64(table):
     return b"".join(spliced)
 
 
-def _cells(column):
-    """A column as write_csv zips it: a list or tuple as it is, anything else
-    through a memoryview, which yields Python numbers one at a time."""
-    return column if isinstance(column, (list, tuple)) else memoryview(column)
-
-
 def write_csv(path, header, columns) -> None:
     """Write equal-length numeric columns under a comma-separated header.
 
-    The bytes are those of ``np.savetxt`` with a ``%.12g`` cell format, by one of
-    two routes chosen by column type, _WRITE_ROWS rows at a time:
+    The bytes are those of ``np.savetxt`` with a ``%.12g`` cell format, written
+    _WRITE_ROWS rows at a time by one of two routes:
 
-    - Columns that are all 1-D native float64 ndarrays go through a numpy
+    - Columns that are all lists, tuples or ``array.array`` (what ``plan``,
+      ``simulate``, ``sweep`` and ``report`` write) go through the template: their
+      Python numbers are formatted by one ``%`` string operation per block, and
+      numpy is never touched.
+    - Any other columns are read a block at a time as one array, by
+      ``np.asarray(column[block])``, converted to float64, and go through a numpy
       formatter.  For a cell v with |v| in [1e-4, 1e12) it takes e from log10 and
       m = |v| * 10**(11 - e), whose power of ten is exact, so m is rounded once.
       It writes the 12 digits of rint(m) only under a certificate: 1e11 <= m <
@@ -224,10 +223,8 @@ def write_csv(path, header, columns) -> None:
       exact product rounds to the same integer, the digits the template's
       correctly rounded conversion gives.  Every other cell (exponent notation,
       zeros, a near tie) goes to the template, and a block where most cells would
-      goes through the template whole.
-    - Anything else (lists, tuples, ``array('d')``, other dtypes) goes through
-      the template alone: Python numbers formatted by one ``%`` string
-      operation per block.
+      goes through the template whole.  A column that is not 1-D, or
+      complex, raises a ValueError before any row is written.
 
     A header cell holding a comma, a quote or a line break is quoted as the csv
     module quotes it, so that read_numeric_csv reads the header back.
@@ -238,29 +235,24 @@ def write_csv(path, header, columns) -> None:
     row = b",".join([_CELL] * len(columns)) + b"\n"
     names = ['"' + name.replace('"', '""') + '"' if any(c in name for c in ',"\r\n') else name
              for name in header]
+    template = all(isinstance(column, (list, tuple, array)) for column in columns)
+    flat = chain.from_iterable(zip(*columns))
     with open(path, "wb") as fh:
         fh.write((",".join(names) + "\n").encode("utf-8"))
-        if _float64_arrays(columns):
-            for start in range(0, lengths[0], _WRITE_ROWS):
-                table = np.column_stack([column[start:start + _WRITE_ROWS] for column in columns])
-                text = _format_float64(table)
-                fh.write(row * len(table) % tuple(table.ravel().tolist()) if text is None else text)
-            return
-        flat = chain.from_iterable(zip(*map(_cells, columns)))
-        block, width = row * _WRITE_ROWS, _WRITE_ROWS * len(columns)
-        full, rest = divmod(lengths[0], _WRITE_ROWS)
-        for _ in range(full):
-            fh.write(block % tuple(islice(flat, width)))
-        fh.write(row * rest % tuple(islice(flat, rest * len(columns))))
-
-
-def _float64_arrays(columns) -> bool:
-    """Whether every column is a 1-D native float64 ndarray; never imports numpy,
-    since a process that has not loaded it holds no array."""
-    numpy = sys.modules.get("numpy")
-    return numpy is not None and all(
-        type(column) is numpy.ndarray and column.ndim == 1 and column.dtype == numpy.float64
-        for column in columns)
+        for start in range(0, lengths[0], _WRITE_ROWS):
+            if template:
+                cells = tuple(islice(flat, _WRITE_ROWS * len(columns)))
+            else:
+                table = np.stack([np.asarray(column[start:start + _WRITE_ROWS])
+                                  for column in columns], axis=1)
+                if table.ndim != 2 or table.dtype.kind == "c":
+                    raise ValueError("each column must be one-dimensional and real")
+                table = table.astype(float, copy=False)
+                if (text := _format_float64(table)) is not None:
+                    fh.write(text)
+                    continue
+                cells = tuple(table.ravel().tolist())
+            fh.write(row * (len(cells) // len(columns)) % cells)
 
 
 def read_numeric_csv(path, n_columns: int | None = None):

@@ -27,7 +27,8 @@ import mpmath
 import numpy as np
 
 from flexmove.filters import PAD_FACTOR
-from flexmove.motion import DEFAULT_QUAD_INTERVALS, _like, simpson, simpson_grid
+from flexmove.motion import DEFAULT_QUAD_INTERVALS, simpson, simpson_grid
+from flexmove.oscillator import _like, _times
 
 #: decimal digits of the mpmath closed forms
 DPS = 50
@@ -199,17 +200,17 @@ def figures(spec):
 
 def position(spec, t):
     """Carrier position s(t) = L/(2*pi) * (p*t - sin(p*t)) for t in [0, t1]."""
-    return _like(t, spec._laws(np)[0](spec.p * spec._times(t)))
+    return _like(t, spec._laws(np)[0](spec.p * _times(spec, t)))
 
 
 def velocity(spec, t):
     """Carrier velocity v(t) = L*p/(2*pi) * (1 - cos(p*t)); non-negative."""
-    return _like(t, spec._laws(np)[1](spec.p * spec._times(t)))
+    return _like(t, spec._laws(np)[1](spec.p * _times(spec, t)))
 
 
 def acceleration(spec, t):
     """Carrier acceleration u(t) = L*p**2/(2*pi) * sin(p*t); skew symmetric."""
-    return _like(t, spec._laws(np)[2](spec.p * spec._times(t)))
+    return _like(t, spec._laws(np)[2](spec.p * _times(spec, t)))
 
 
 class MomentIntegrals(NamedTuple):

@@ -1,4 +1,5 @@
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from flexmove import oscillator
 from flexmove import (MotionSpec, ResidualReport, final_relative_state, integrate,
                       relative_motion, residual_report, simulate_relative, tip_trace,
                       write_relative_trace)
-from flexmove.oscillator import action_value
+from flexmove.oscillator import OscillatorTrace, action_value
 from flexmove.timeseries import read_numeric_csv
 from reference import acceleration, euler_lagrange_residual, position, velocity
 from test_acceptance import ORACLE_TOL
@@ -498,6 +499,26 @@ def test_relative_trace_beyond_the_move_rejected(bench_spec, tmp_path):
     trace = integrate(lambda t: 0.0, bench_spec.k, 1.5 * bench_spec.t1, bench_spec.t1 / 1000)
     with pytest.raises(ValueError, match="outside the motion interval"):
         write_relative_trace(tmp_path / "relative.csv", bench_spec, trace)
+
+
+@pytest.mark.parametrize("outside,admitted", [(0.5e-12, True), (2e-12, False)])
+def test_the_motion_interval_is_widened_by_1e_12_t1(bench_spec, tmp_path, outside, admitted):
+    # a time up to 1e-12 * t1 beyond either end of [0, t1] is a rounding of an end
+    # and is admitted; one further out is rejected, as a scalar, in an array and as
+    # the first or last time of a relative trace
+    t1 = bench_spec.t1
+    for t in (-outside * t1, t1 + outside * t1):
+        grid = array("d", sorted([0.5 * t1, t]))
+        trace = OscillatorTrace(grid, array("d", [0.0, 0.0]), array("d", [0.0, 0.0]))
+        calls = [lambda: relative_motion(bench_spec, t),
+                 lambda: relative_motion(bench_spec, np.array([0.5 * t1, t])),
+                 lambda: write_relative_trace(tmp_path / "relative.csv", bench_spec, trace)]
+        for call in calls:
+            if admitted:
+                call()
+            else:
+                with pytest.raises(ValueError, match="outside the motion interval"):
+                    call()
 
 
 def test_relative_trace_uses_the_integrators_stiffness(monkeypatch):

@@ -266,9 +266,10 @@ ADVERSARIAL = adversarial_cells()
 @example(columns=[ADVERSARIAL, ADVERSARIAL[::-1]], block=BLOCK)
 def test_write_csv_matches_savetxt(tmp_path_factory, columns, block):
     # the replaced np.savetxt call is the reference, for any column dtype, for
-    # columns given as lists or tuples (zipped as they are), array('d') and arrays
-    # of other dtypes (read through a memoryview), and float64 arrays and their
-    # reversed or strided views (the float64 formatter), in any block size
+    # columns that are all lists, tuples or array('d') (zipped as they are, through
+    # the template), and for any other mix, arrays and their reversed or strided
+    # views included (read as float64 blocks, through the float64 formatter), in
+    # any block size
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(timeseries, "_WRITE_ROWS", block)
         assert_written_as_savetxt(tmp_path_factory, columns)
@@ -308,9 +309,9 @@ def test_an_exponent_off_by_one_changes_no_byte(tmp_path, monkeypatch, seed):
     assert path.read_bytes() == expected
 
 
-#: dtypes a memoryview reads as Python numbers: native byte order, no half or
-#: extended floats
-ARRAY_DTYPES = ["f8", "f4", "i4", "i8", "?"]
+#: real dtypes, each read as float64 a block at a time: native and swapped byte
+#: order, half and extended floats
+ARRAY_DTYPES = ["f8", ">f8", "f2", "f4", "g", "i4", "i8", "?"]
 
 
 @settings(max_examples=60, deadline=None)
@@ -320,6 +321,16 @@ ARRAY_DTYPES = ["f8", "f4", "i4", "i8", "?"]
 def test_write_csv_writes_any_array_dtype_as_float64(tmp_path_factory, columns):
     as_float64 = [column.astype(float) for column in columns]
     assert_written_as_savetxt(tmp_path_factory, columns, as_float64)
+
+
+@pytest.mark.parametrize("columns", [(np.zeros((3, 1)),), (np.zeros(3), np.zeros((3, 2))),
+                                     ([0.0, 1.0], np.array([1 + 2j, 3 - 1j]))],
+                         ids=["2-D", "1-D and 2-D", "complex"])
+def test_write_csv_rejects_a_column_that_is_not_1d_and_real(tmp_path, columns):
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValueError):
+        write_csv(path, [f"c{i}" for i in range(len(columns))], columns)
+    assert path.read_bytes().count(b"\n") == 1  # the header, and no row
 
 
 def test_save_trace_with_big_endian_t(tmp_path):
