@@ -240,6 +240,3 @@ def main(argv=None) -> int:
         print("error:", " ".join(str(exc).splitlines()), file=sys.stderr)
         return 2 if isinstance(exc, ValueError) else 1
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -210,4 +210,4 @@ def filtfilt(design: FilterDesign, series: TimeSeries) -> TimeSeries:
     if not np.isfinite(values).all():  # a TimeSeries is finite, so this is an overflow
         raise ValueError(f"filtering overflows the float range: the values reach "
                          f"{float(np.max(np.abs(x))):.6g}; scale them down")
-    return TimeSeries(series.t, values, series.label)
+    return series._with_values(values)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import codecs
 import csv
+import os
+import stat
 from array import array
-from functools import cache
+from functools import cache, partial
 from itertools import chain, islice
 
 from ._numpy import np
@@ -28,6 +31,12 @@ _TIE_MARGIN = 2.0 ** -13
 
 #: exponent slot of a cell the float64 formatter leaves to the template
 _FALLBACK = 16
+
+#: bytes the check of a plain CSV reads at a time
+_READ_BYTES = 1 << 16
+
+#: file name endings that np.loadtxt opens as compressed files
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 #: allowed relative deviation of any time step from the median step
 JITTER_TOL = 1e-3
@@ -82,6 +91,13 @@ class TimeSeries(Record):
 
     def __len__(self) -> int:
         return len(self.values)
+
+    def _with_values(self, values: np.ndarray) -> TimeSeries:
+        """This series with other values, which the caller has checked to be finite
+        float64 of its length: the time column is this one, so is its rate."""
+        series = object.__new__(TimeSeries)
+        series._set(t=self.t, values=values, label=self.label, rate=self.rate)
+        return series
 
 
 def _median(x) -> float:
@@ -258,36 +274,89 @@ def write_csv(path, header, columns) -> None:
 def read_numeric_csv(path, n_columns: int | None = None):
     """Read a headered CSV of floats; returns (header, list of column arrays).
 
-    A plain file is streamed in one pass; anything else is read again by the csv
-    module.  Raises ValueError with a distinct message for an empty file, a ragged
-    or wrongly sized row, a cell that does not parse as a number, and a line the
-    csv module cannot split.
+    A regular file is checked in one pass over its bytes, a chunk at a time, and
+    then parsed by numpy's C reader straight from its path; a file that fails a
+    check, or that numpy will not parse, is read again by the csv module.  Any
+    other path, a pipe for one, is read once, by the csv module, since it cannot
+    be read twice.  Raises ValueError with a distinct message for an empty file,
+    a ragged or wrongly sized row, a cell that does not parse as a number, and a
+    line the csv module cannot split.
     """
-    try:
-        return _read_plain_csv(path, n_columns)
-    except ValueError:  # anything unusual: the validating reader accepts it or names the fault
-        return _read_csv_checked(path, n_columns)
+    if stat.S_ISREG(os.stat(path).st_mode):
+        try:
+            return _read_plain_csv(path, n_columns)
+        except ValueError:  # anything unusual: the validating reader accepts it or names the fault
+            pass
+    return _read_csv_checked(path, n_columns)
 
 
 def _read_plain_csv(path, n_columns):
     """Fast path through numpy's parser: what _read_csv_checked returns, or a bare ValueError."""
+    name = os.fspath(path)
+    # np.loadtxt would decompress a name with one of these endings and fetch a URL
+    if not isinstance(name, str) or "://" in name or name.endswith(_COMPRESSED):
+        raise ValueError
+    header = _plain_header(name, n_columns)
+    # comments=None: numpy would skip the `#` lines that the csv reader rejects
+    table = np.loadtxt(name, skiprows=1, encoding="utf-8", delimiter=",", comments=None,
+                       quotechar=None, ndmin=2)
+    if table.shape[1] != len(header):
+        raise ValueError
+    return header, [table[:, j].copy() for j in range(len(header))]
+
+
+def _plain_header(name, n_columns):
+    """The header of a file that numpy's reader takes as the csv module does, from
+    one pass over its bytes that keeps none of them; a bare ValueError otherwise.
+
+    The header is the first line, ended by "\\n" or "\\r\\n" within the first
+    chunk, and holds no quote; the file is UTF-8, no line is longer than the csv
+    module's field limit (numpy has none), and the body holds more than
+    whitespace (numpy warns on a file without data).
+    """
     limit = csv.field_size_limit()
-    with open(path, encoding="utf-8", newline="") as fh:
-        first = fh.readline()
-        header = [name.strip() for name in first[:-1].split(",")]
-        if (not first.endswith("\n") or not first.strip() or '"' in first
-                or len(first) > limit or n_columns not in (None, len(header))):
+    with open(name, "rb") as fh:
+        chunks = codecs.iterdecode(iter(partial(fh.read, _READ_BYTES), b""), "utf-8")
+        text = next(chunks, "")
+        end = text.find("\n") + 1
+        first = text[:end]
+        if (not first or "\r" in first[:-2] or not first.strip() or '"' in first
+                or len(first) > limit):
             raise ValueError
-        width = len(header)
-        blocks = [np.empty((0, width))]
-        while lines := fh.readlines(1 << 20):
-            # numpy has no field size limit, and it warns on a chunk without data
-            if max(map(len, lines)) > limit or not any(map(str.strip, lines)):
-                raise ValueError
-            # comments=None: numpy would skip the `#` lines that the csv reader rejects
-            blocks.append(np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, ndmin=2))
-    table = np.concatenate(blocks)  # a ValueError unless every block is `width` wide
-    return header, [table[:, j].copy() for j in range(width)]
+        header = [cell.strip() for cell in first[:-1].split(",")]
+        if n_columns not in (None, len(header)):
+            raise ValueError
+        blank, run = True, 0
+        for piece in chain((text[end:],), chunks):
+            blank = blank and (not piece or piece.isspace())
+            run = _line_run(piece, run, limit)
+    if blank:
+        raise ValueError
+    return header
+
+
+def _line_run(text, run, limit):
+    """The length of the line that text ends in, counting the run characters that
+    line had before text; a bare ValueError when a line runs past limit.
+
+    Lines end at "\\r" or "\\n", as for the csv module.  The text is searched in
+    windows of at most limit characters: a line that starts and ends inside one
+    window is shorter than limit, so only the line a window's first end closes,
+    and one with no end in the window, can run past it.
+    """
+    step = max(1, limit)
+    for start in range(0, len(text), step):
+        stop = min(start + step, len(text))
+        ends = [i for i in (text.find("\n", start, stop), text.find("\r", start, stop)) if i >= 0]
+        if not ends:
+            run += stop - start
+        elif run + min(ends) - start > limit:
+            raise ValueError
+        else:
+            run = stop - 1 - max(text.rfind("\n", start, stop), text.rfind("\r", start, stop))
+        if run > limit:
+            raise ValueError
+    return run
 
 
 def _read_csv_checked(path, n_columns):

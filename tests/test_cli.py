@@ -1,7 +1,9 @@
 import contextlib
+import gc
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BENCH_BEAM, child_env
+import flexmove.__main__
 from flexmove.cli import main
 from flexmove.timeseries import read_numeric_csv, write_csv
 
@@ -291,10 +294,28 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
+def peak_mib(*job):
+    """Exit status and peak resident size [MiB] of a `python -m flexmove *job` process."""
+    proc = subprocess.run(
+        [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "flexmove", *job],
+        capture_output=True, text=True, env=child_env(), timeout=120, check=True)
+    code, peak_kib = map(int, proc.stdout.split()[-2:])  # after the job's own stdout
+    return code, peak_kib / 1024
+
+
+def padded_trace(path, rows):
+    """A t,a_tip trace of `rows` rows at 2000 Hz whose cells are padded to 60 characters."""
+    t = np.arange(rows) / 2000.0
+    values = np.sin(t) + 0.01 * np.cos(300.0 * t)
+    with open(path, "w") as fh:
+        fh.write("t,a_tip\n")
+        fh.writelines(f"{a!r:>60},{b!r:>60}\n" for a, b in zip(t.tolist(), values.tolist()))
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
 def test_filter_job_memory_stays_bounded(tmp_path):
     # A 300 000-row order-8 job must not hold the whole file's text: parsed in one
-    # piece it peaked at 138 MB, streamed it peaks at 48 MB.  A ~1 M-step simulate
+    # piece it peaked at 138 MB, streamed it peaks at 41-48 MB.  A ~1 M-step simulate
     # that writes its trace must stream its forcing: it peaks at 47 MB (90 MB when it
     # evaluated the forcing with numpy), and at 114 MB with the forcing turned into
     # lists.  An exec'd process inherits the peak of the image it replaces, so a
@@ -305,13 +326,23 @@ def test_filter_job_memory_stays_bounded(tmp_path):
     jobs = [("filter", "--in", str(inp), "--out", str(tmp_path / "filtered.csv"), "--order", "8"),
             ("simulate", *MOVE, "--step", "2.2e-6", "--trace-out", str(tmp_path / "rk4.csv"))]
     for job in jobs:
-        proc = subprocess.run(
-            [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "flexmove", *job],
-            capture_output=True, text=True, env=child_env(), timeout=120,
-            check=True)
-        code, peak_kib = map(int, proc.stdout.split()[-2:])  # after the job's own stdout
+        code, peak = peak_mib(*job)
         assert code == 0, job[0]
-        assert peak_kib < 100 * 1024, job[0]
+        assert peak < 100, job[0]
+    # The filter reader alone: the same 300 000 rows with cells padded to 60
+    # characters make a 36.6 MB file, so the file's bytes, held while numpy parses
+    # it, would lift the job's peak above a 3 000-row job's by the file's size, and
+    # its decoded text by as much again (85 MB in all, measured).  Streamed, the peak
+    # stays 10-14 MB above (the arrays); the bound is half the file's size.
+    big, small = tmp_path / "padded.csv", tmp_path / "small.csv"
+    padded_trace(big, 300_000)
+    padded_trace(small, 3_000)
+    peaks = {}
+    for path in (big, small):
+        code, peaks[path] = peak_mib("filter", "--in", str(path), "--out",
+                                     str(tmp_path / "padded_filtered.csv"), "--order", "8")
+        assert code == 0, path.name
+    assert peaks[big] - peaks[small] < big.stat().st_size / 2 / 2 ** 20, peaks
 
 
 class TestReport:
@@ -723,3 +754,52 @@ def test_any_text_in_a_trace_csv(tmp_path_factory, junk, at, header):
     inp = workdir / "trace.csv"
     inp.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
     run_quietly(["filter", "--in", str(inp), "--out", str(workdir / "filtered.csv")])
+
+
+def test_main_in_process_freezes_nothing(tmp_path, capsys):
+    # only the process entry freezes, after main returns; the tests and the bench
+    # tracer call main in a process that goes on
+    before = gc.get_freeze_count()
+    assert run(capsys, "plan", *MOVE, "--out", str(tmp_path / "x.csv"))[0] == 0
+    assert run(capsys, "plan", "--no-such-flag")[0] == 2
+    assert gc.get_freeze_count() == before
+
+
+def test_the_entry_freezes_after_main_returns_and_returns_its_status(monkeypatch):
+    calls = []
+    monkeypatch.setattr(flexmove.__main__, "main", lambda: calls.append("main") or 3)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    assert flexmove.__main__.run() == 3
+    assert calls == ["main", "freeze"]
+
+
+#: the module and function of the `flexmove` console script
+CONSOLE_SCRIPT = re.search(r'^flexmove = "([\w.]+):(\w+)"$',
+                           (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(),
+                           re.MULTILINE).groups()
+
+
+@pytest.mark.parametrize("launch", [
+    ("-m", "flexmove"),
+    ("-c", "import sys; from {0} import {1}; sys.exit({1}())".format(*CONSOLE_SCRIPT)),
+], ids=["python-m", "console-script"])
+def test_a_cli_process_keeps_its_status_and_its_output(tmp_path, beam_json, launch):
+    # each status of the exit contract, through a pipe: stdout complete (here past
+    # a pipe's buffer) and stderr one line, as main gives them in process
+    masses = ",".join(f"{0.01 + 1e-4 * i:.4f}" for i in range(2000))
+    cases = [
+        (("report", "--beam", beam_json, "--masses", masses, "--L", "0.41"), 0),
+        (("filter", "--in", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "x.csv")), 1),
+        (("plan", "--no-such-flag"), 2),
+    ]
+    assert CONSOLE_SCRIPT == ("flexmove.__main__", "run")
+    for argv, status in cases:
+        proc = subprocess.run([sys.executable, *launch, *argv], capture_output=True, text=True,
+                              env=child_env(), timeout=60)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            assert main(argv) == status
+        assert proc.returncode == status, proc.stderr
+        assert (proc.stdout, proc.stderr) == (stdout.getvalue(), stderr.getvalue())
+        assert proc.stderr.count("\n") == (status != 0)
+        assert len(proc.stdout) > 64 * 1024 or status != 0

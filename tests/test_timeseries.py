@@ -1,7 +1,10 @@
+import csv
 import math
 import operator
+import os
 import re
 import struct
+import threading
 from array import array
 from unittest import mock
 
@@ -418,3 +421,109 @@ def test_fast_read_matches_the_validating_reader(tmp_path_factory, header, lines
         return names, [(col.dtype.str, col.shape, col.tobytes()) for col in columns]
 
     assert outcome(read_numeric_csv) == outcome(timeseries._read_csv_checked)
+
+
+def outcome(reader, path, n_columns):
+    """What reader gives for path: the header and each column's dtype, shape and
+    bytes, or the message of its ValueError."""
+    try:
+        names, columns = reader(path, n_columns)
+    except ValueError as exc:
+        return str(exc)
+    return names, [(col.dtype.str, col.shape, col.tobytes()) for col in columns]
+
+
+@settings(max_examples=200, deadline=None)
+@example(limit=5, read_bytes=2, lengths=[5, 6], newline="\n")
+@example(limit=5, read_bytes=3, lengths=[5, 5, 5], newline="\r\n")
+@example(limit=4, read_bytes=16, lengths=[0, 5], newline="\n")  # a long line inside a window
+@example(limit=4, read_bytes=16, lengths=[1, 1, 1, 1], newline="\r")  # CR ends in one window
+@given(limit=st.integers(2, 12), read_bytes=st.integers(2, 16),
+       lengths=st.lists(st.integers(0, 30), min_size=1, max_size=12),
+       newline=st.sampled_from(["\n", "\r\n", "\r"]))
+def test_the_fast_path_takes_every_line_within_the_field_limit(tmp_path_factory, limit,
+                                                               read_bytes, lengths, newline):
+    # with a small field limit and chunks of a few bytes, lines run across chunks
+    # and search windows: a file whose lines all fit the limit takes the fast path,
+    # and every file reads as the csv module reads it
+    path = tmp_path_factory.mktemp("csv") / "column.csv"
+    path.write_text("t\n" + "".join("1" * n + newline for n in lengths), newline="")
+    old = csv.field_size_limit(limit)
+    try:
+        with mock.patch.object(timeseries, "_READ_BYTES", read_bytes), mock.patch.object(
+                timeseries, "_read_csv_checked", wraps=timeseries._read_csv_checked) as checked:
+            got = outcome(read_numeric_csv, path, None)
+        assert got == outcome(timeseries._read_csv_checked, path, None)
+    finally:
+        csv.field_size_limit(old)
+    # a body of empty lines holds no data for numpy
+    assert checked.called == (max(lengths) > limit or max(lengths) == 0)
+
+
+@pytest.mark.parametrize("name", ["trace.csv.gz", "trace.bz2", "trace.xz", "trace.lzma",
+                                  "http://trace.csv"])
+def test_a_name_numpy_would_open_otherwise_is_read_as_it_is(tmp_path, monkeypatch, name):
+    # np.loadtxt opens a file by its name's ending as compressed, and fetches a name
+    # that parses as a URL; such a name never reaches numpy, and the file reads as
+    # the plain file it is.  "http://trace.csv" is trace.csv in the directory "http:"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "http:").mkdir()
+    data = "t,x\n0,1.5\n0.5,2\n"
+    for path in (name, "plain.csv"):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(data)
+    with mock.patch.object(timeseries.np, "loadtxt", side_effect=AssertionError):
+        got = outcome(read_numeric_csv, name, 2)
+    assert got == outcome(read_numeric_csv, "plain.csv", 2)
+    assert got[0] == ["t", "x"]
+
+
+def read_through_fifo(tmp_path, data: bytes, n_columns):
+    """outcome() of read_numeric_csv on a FIFO that a writer thread fills with data.
+
+    A reader that opened the FIFO again would wait for a writer that has gone: after
+    10 s a write end is opened and closed, so that open returns at end of file and
+    the test fails instead of hanging.
+    """
+    fifo = tmp_path / "trace.fifo"
+    os.mkfifo(fifo)
+    released = []
+
+    def write():
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+
+    def release():
+        released.append(True)
+        try:
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        except OSError:  # no reader waits
+            pass
+
+    writer = threading.Thread(target=write, daemon=True)
+    timer = threading.Timer(10.0, release)
+    timer.daemon = True
+    writer.start()
+    timer.start()
+    try:
+        got = outcome(read_numeric_csv, fifo, n_columns)
+    finally:
+        timer.cancel()
+    writer.join(10.0)
+    assert not released, "the FIFO was opened again after its writer had gone"
+    assert not writer.is_alive()
+    return got
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("data", [
+    b"t,x\n0,1.5\n 1e-3 ,-inf\n0.002,nan\n",
+    b"t,x\n" + b"0,1.5\n1e-3,-2\n" * 50_000,  # more than a pipe's buffer
+    b't,"a,b"\n0,1\n0.5,2\n',  # a quote in the header: the csv module's route
+], ids=["plain", "1.1MB", "quoted-header"])
+def test_a_pipe_is_read_once(tmp_path, data):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(data)
+    expected = outcome(read_numeric_csv, path, 2)
+    assert isinstance(expected, tuple)
+    assert read_through_fifo(tmp_path, data, 2) == expected
