@@ -60,31 +60,25 @@ class BeamSpec(Record):
         return math.sqrt(self.stiffness / self.m_tip)
 
 
-def read_json_object(path, what: str) -> dict:
-    """Parse a JSON document that must be an object; a ValueError names the file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ValueError(f"{path}: {what} is not valid JSON: {exc}") from None
-        except ValueError as exc:  # int() of a literal past sys.get_int_max_str_digits()
-            raise ValueError(
-                f"{path}: {what} holds an integer longer than this Python converts: {exc}"
-            ) from None
-        except RecursionError:  # the decoder recurses once per nested array or object
-            raise ValueError(f"{path}: {what} is nested too deeply") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: {what} must be a JSON object")
-    return doc
-
-
 def load_beam(path, tip_mass: float | None = None) -> BeamSpec:
     """Read a beam description from a JSON object whose keys l, b, h, E, m_tip hold numbers.
 
     BeamSpec rejects a string or a bool; ``tip_mass`` overrides the document's
     m_tip and must be given when the document omits that key.
     """
-    doc = read_json_object(path, "beam document")
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: beam document is not valid JSON: {exc}") from None
+        except ValueError as exc:  # int() of a literal past sys.get_int_max_str_digits()
+            raise ValueError(
+                f"{path}: beam document holds an integer longer than this Python converts: {exc}"
+            ) from None
+        except RecursionError:  # the decoder recurses once per nested array or object
+            raise ValueError(f"{path}: beam document is nested too deeply") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: beam document must be a JSON object")
     missing = [key for key in ("l", "b", "h", "E") if key not in doc]
     if missing:
         raise ValueError(f"{path}: beam document is missing keys: {', '.join(missing)}")

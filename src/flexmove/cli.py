@@ -1,10 +1,10 @@
 """Command-line surface: plan setpoints, simulate, sweep, filter and report.
 
-All quantities are SI.  Flags override values from an optional JSON config
-document (--config), whose keys are the long flag names with dashes turned
-into underscores (``in``, ``n_from``, ``cutoff_hz``).  Every validation
-failure, argument errors included, exits with status 2 and a one-line
-diagnostic; I/O failures exit with status 1.
+All quantities are SI.  An argument ``@path`` stands for the lines of that
+UTF-8 file, one argument a line, so that a flag after it overrides the file's.
+Every validation failure, argument errors included, exits with status 2 and a
+one-line diagnostic; I/O failures, a closed standard output among them, exit
+with status 1.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import sys
 
 from .analysis import _carried_masses, amplitude_table, sweep_n
-from .beam import load_beam, read_json_object
+from .beam import load_beam
 from .filters import design_butterworth, filtfilt
 from .motion import MotionSpec
 from .oscillator import residual_report, simulate_relative, write_relative_trace
@@ -24,54 +24,37 @@ from .timeseries import fmt, load_trace, save_trace
 class _Parser(argparse.ArgumentParser):
     """Argument parser that raises usage errors as ValueError instead of exiting."""
 
-    def __init__(self, *args, **kwargs):  # a flag or config key is spelled in full
+    def __init__(self, *args, **kwargs):  # a flag is spelled in full
         super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ValueError(message)
 
 
-_CONFIG = _Parser(add_help=False)
-_CONFIG.add_argument("--config", help="JSON config document; flags override it")
+def _expand_args(argv) -> list[str]:
+    """argv with each ``@path`` argument replaced by the lines of that UTF-8 file.
 
-
-#: config keys that may hold a string (masses: its comma-separated form); the
-#: others take JSON numbers, or true/false for a bare flag
-_TEXT_KEYS = frozenset({"in", "out", "beam", "trace_out", "masses"})
-
-
-def _config_flags(doc: dict) -> list[str]:
-    """Flag tokens for a config document: key -> --key with _ turned into -.
-
-    true becomes a bare flag, false and null are left out, and a list of
-    masses is joined with commas.  Any other string, list or object where a
-    number belongs is an argument error, and so is a help or config key.
+    Each line is one argument and blank lines are skipped.  Files do not nest:
+    a line of a file that starts with ``@`` is an argument as written.
     """
-    tokens = []
-    for key, value in doc.items():
-        flag = "--" + key.replace("_", "-")
-        if key in ("help", "config"):  # argparse would exit on one and ignore the other
-            raise ValueError(f"argument {flag}: a config document may not hold the key {key!r}")
-        if value is True:
-            tokens.append(flag)
-        elif key == "masses" and isinstance(value, list) and all(
-                type(item) in (int, float) for item in value):  # type() also rules out bool
-            tokens.append(f"{flag}={','.join(str(item) for item in value)}")
-        elif type(value) in (int, float) or isinstance(value, str) and key in _TEXT_KEYS:
-            tokens.append(f"{flag}={value}")
-        elif value is not False and value is not None:
-            kind = {str: "a string", list: "a list"}.get(type(value), "an object")
-            raise ValueError(f"argument {flag}: config value has the wrong JSON type ({kind})")
-    return tokens
+    expanded = []
+    for arg in argv:
+        if not arg.startswith("@"):
+            expanded.append(arg)
+            continue
+        with open(arg[1:], encoding="utf-8") as fh:
+            try:
+                expanded += [line for line in fh.read().split("\n") if line.strip()]
+            except UnicodeDecodeError as exc:  # a ValueError that does not name the file
+                raise ValueError(f"{arg[1:]}: {exc}") from None
+    return expanded
 
 
-def _with_config(argv: list[str]) -> list[str]:
-    """Splice the --config document in right after the subcommand, ahead of the
-    user's flags, so that the user's flags win."""
-    path = _CONFIG.parse_known_args(argv)[0].config
-    if path is None:
-        return argv
-    return argv[:1] + _config_flags(read_json_object(path, "config")) + argv[1:]
+def _print(*lines: str) -> None:
+    """Print lines to standard output; a closed one is an I/O error, not lost text."""
+    if sys.stdout is None:  # Python's stand-in when the process starts with fd 1 closed
+        raise OSError("standard output is closed")
+    print(*lines, sep="\n")
 
 
 def _payload(args) -> tuple[float, float]:
@@ -109,9 +92,8 @@ def _resolve_spec(args) -> MotionSpec:
 def _cmd_plan(args) -> int:
     spec = _resolve_spec(args)
     spec.sample_uniform(args.rate).write_csv(args.out)
-    print(f"t1 = {fmt(spec.t1)} s")
-    print(f"p = {fmt(spec.p)} rad/s")
-    print(f"peak acceleration = {fmt(spec.peak_acceleration)} m/s^2")
+    _print(f"t1 = {fmt(spec.t1)} s", f"p = {fmt(spec.p)} rad/s",
+           f"peak acceleration = {fmt(spec.peak_acceleration)} m/s^2")
     return 0
 
 
@@ -121,7 +103,7 @@ def _cmd_simulate(args) -> int:
     report = residual_report(spec, trace)
     if args.trace_out is not None:
         write_relative_trace(args.trace_out, spec, trace)
-    print(json.dumps(report.as_dict(), indent=2))
+    _print(json.dumps(report.as_dict(), indent=2))
     return 0
 
 
@@ -129,7 +111,7 @@ def _cmd_sweep(args) -> int:
     k, m = _payload(args)
     result = sweep_n(L=args.L, k=k, m=m, n_from=args.n_from, n_to=args.n_to, step=args.step)
     result.write_csv(args.out)
-    print(f"wrote {len(result)} rows to {args.out}")
+    _print(f"wrote {len(result)} rows to {args.out}")
     return 0
 
 
@@ -148,7 +130,7 @@ def _cmd_report(args) -> int:
                          L=args.L, n=args.n, unmatched_n=args.unmatched_n)
     if args.out is not None:
         table.write_csv(args.out)
-    print(table.to_text())
+    _print(table.to_text())
     return 0
 
 
@@ -178,23 +160,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Plan and analyse oscillation-free moves of flexible payloads.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    plan = sub.add_parser("plan", parents=[_CONFIG],
-                          help="write a t,s,v,a setpoint CSV for one move")
+    plan = sub.add_parser("plan", help="write a t,s,v,a setpoint CSV for one move")
     _add_motion_arguments(plan)
     plan.add_argument("--rate", type=float, default=1500.0,
                       help="setpoint sample rate [Hz] (default 1500)")
     plan.add_argument("--out", required=True, help="output CSV path")
     plan.set_defaults(handler=_cmd_plan)
 
-    simulate = sub.add_parser("simulate", parents=[_CONFIG],
+    simulate = sub.add_parser("simulate",
                               help="integrate the relative motion and report quiescence")
     _add_motion_arguments(simulate)
     simulate.add_argument("--step", type=float, help="RK4 time step [s] (default t1/20000)")
     simulate.add_argument("--trace-out", dest="trace_out", help="optional t,x_r,v_r,a_r CSV path")
     simulate.set_defaults(handler=_cmd_simulate)
 
-    sweep = sub.add_parser("sweep", parents=[_CONFIG],
-                           help="scan the period multiple and tabulate residuals")
+    sweep = sub.add_parser("sweep", help="scan the period multiple and tabulate residuals")
     _add_payload_arguments(sweep)
     sweep.add_argument("--n-from", dest="n_from", type=float, required=True,
                        help="first period multiple (> 1)")
@@ -204,8 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", required=True, help="output CSV path")
     sweep.set_defaults(handler=_cmd_sweep)
 
-    filt = sub.add_parser("filter", parents=[_CONFIG],
-                          help="zero-phase low-pass a t,<value> trace CSV")
+    filt = sub.add_parser("filter", help="zero-phase low-pass a t,<value> trace CSV")
     filt.add_argument("--in", dest="infile", required=True, help="input trace CSV")
     filt.add_argument("--out", required=True, help="output trace CSV")
     filt.add_argument("--order", type=int, default=4,
@@ -214,8 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="cutoff frequency [Hz] (default 20)")
     filt.set_defaults(handler=_cmd_filter)
 
-    report = sub.add_parser("report", parents=[_CONFIG],
-                            help="matched vs mistimed amplitude table across masses")
+    report = sub.add_parser("report", help="matched vs mistimed amplitude table across masses")
     report.add_argument("--beam", required=True,
                         help="JSON beam document (geometry and material)")
     report.add_argument("--masses", type=float_list, required=True,
@@ -232,9 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(_with_config(argv))
+        args = build_parser().parse_args(_expand_args(sys.argv[1:] if argv is None else argv))
         return args.handler(args)
     except (ValueError, OSError) as exc:  # a message may quote input with line breaks
         print("error:", " ".join(str(exc).splitlines()), file=sys.stderr)

@@ -239,8 +239,9 @@ def write_csv(path, header, columns) -> None:
       exact product rounds to the same integer, the digits the template's
       correctly rounded conversion gives.  Every other cell (exponent notation,
       zeros, a near tie) goes to the template, and a block where most cells would
-      goes through the template whole.  A column that is not 1-D, or
-      complex, raises a ValueError before any row is written.
+      goes through the template whole.  A column that is not 1-D, or complex,
+      raises a ValueError before any row is written, and a numpy array column
+      before the file is opened, so that an existing file keeps its bytes.
 
     A header cell holding a comma, a quote or a line break is quoted as the csv
     module quotes it, so that read_numeric_csv reads the header back.
@@ -252,6 +253,9 @@ def write_csv(path, header, columns) -> None:
     names = ['"' + name.replace('"', '""') + '"' if any(c in name for c in ',"\r\n') else name
              for name in header]
     template = all(isinstance(column, (list, tuple, array)) for column in columns)
+    if not template and any(isinstance(column, np.ndarray) and (
+            column.ndim != 1 or column.dtype.kind == "c") for column in columns):
+        raise ValueError("each column must be one-dimensional and real")
     flat = chain.from_iterable(zip(*columns))
     with open(path, "wb") as fh:
         fh.write((",".join(names) + "\n").encode("utf-8"))

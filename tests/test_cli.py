@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -415,95 +416,106 @@ def test_a_non_integer_n_names_the_subcommands_own_flag(capsys, beam_json, monke
     assert not Path("x.csv").exists()
 
 
-class TestConfigFile:
-    def test_config_supplies_values(self, tmp_path, capsys):
-        config = tmp_path / "run.json"
+def write_args(path, *lines, newline="\n"):
+    """An argument file holding one argument a line; returns its @-argument."""
+    Path(path).write_text("".join(line + newline for line in lines), newline="")
+    return f"@{path}"
+
+
+class TestArgsFile:
+    """`@path` arguments.  argparse's own fromfile_prefix_chars would end a self-naming
+    file in a RecursionError traceback, exit 2 on a missing file, and word a bad byte
+    by Python version, without the path."""
+
+    def test_args_file_supplies_values(self, tmp_path, capsys):
         out = tmp_path / "plan.csv"
-        config.write_text(json.dumps(dict(L=0.41, k=5.78, n=2, mass=0.09,
-                                          rate=100.0, out=str(out))))
-        code, _, _ = run(capsys, "plan", "--config", str(config))
-        assert code == 0
+        args = write_args(tmp_path / "move.args", "--L=0.41", "--k", "5.78", "--n=2",
+                          "--mass=0.09", "--rate=100", f"--out={out}")
+        code, stdout, stderr = run(capsys, "plan", args)
+        assert code == 0, stderr
+        assert stdout.startswith("t1 = ")
         _, columns = read_numeric_csv(out, n_columns=4)
         assert len(columns[0]) == 218  # floor(100 * t1) + 1
 
-    def test_flags_override_config(self, tmp_path, capsys):
-        config = tmp_path / "run.json"
+    @pytest.mark.parametrize("file_first,rows", [(True, 109), (False, 218)],
+                             ids=["flag-after-file", "file-after-flag"])
+    def test_a_later_flag_wins(self, tmp_path, capsys, file_first, rows):
         out = tmp_path / "plan.csv"
-        config.write_text(json.dumps(dict(L=0.41, k=5.78, n=2, mass=0.09, rate=100.0)))
-        code, _, _ = run(capsys, "plan", "--config", str(config),
-                         "--rate", "50", "--out", str(out))
-        assert code == 0
+        args = write_args(tmp_path / "move.args", *MOVE, "--rate=100", f"--out={out}")
+        argv = (args, "--rate", "50") if file_first else ("--rate", "50", args)
+        assert run(capsys, "plan", *argv)[0] == 0
         _, columns = read_numeric_csv(out, n_columns=4)
-        assert len(columns[0]) == 109  # floor(50 * t1) + 1
+        assert len(columns[0]) == rows  # floor(rate * t1) + 1
 
-    def write_config(self, tmp_path, **doc):
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps(doc))
-        return str(path)
-
-    def test_in_key_names_the_input(self, tmp_path, capsys):
-        inp, out = tmp_path / "tip.csv", tmp_path / "filtered.csv"
-        write_csv(inp, ("t", "a_tip"), (np.arange(120) / 1500.0, np.full(120, 2.5)))
-        config = self.write_config(tmp_path, **{"in": str(inp), "out": str(out),
-                                                "cutoff_hz": 20.0})
-        code, _, stderr = run(capsys, "filter", "--config", config)
+    def test_the_subcommand_and_a_bare_flag_may_come_from_the_file(self, tmp_path, capsys):
+        args = write_args(tmp_path / "move.args", "simulate", "--L=0.41", "--k=5.78",
+                          "--n=2.5", "--mass=0.09", "--exploratory")
+        code, stdout, stderr = run(capsys, args)
         assert code == 0, stderr
-        assert read_numeric_csv(out, n_columns=2)[0] == ["t", "a_tip"]
-
-    def test_unknown_key_rejected(self, tmp_path, capsys):
-        # an abbreviated key or flag is unknown too: {"rat": 50} is not --rate 50,
-        # and {"h": true} is not --help
-        out = tmp_path / "x.csv"
-        for extra, typed, unknown in [({"sample_rate": 100.0}, [], "--sample-rate=100.0"),
-                                      ({"rat": 50}, [], "--rat=50"), ({"h": True}, [], "--h"),
-                                      ({}, ["--rat", "50"], "--rat 50")]:
-            config = self.write_config(tmp_path, L=0.41, k=5.78, n=2, mass=0.09, out=str(out),
-                                       **extra)
-            code, _, stderr = run(capsys, "plan", "--config", config, *typed)
-            assert code == 2
-            assert f"unrecognized arguments: {unknown}" in stderr
-            assert not out.exists()
-
-    @pytest.mark.parametrize("key,value,n", [("exploratory", "false", 2.5), ("rate", True, 2),
-                                             ("rate", "1500", 2), ("rate", [1500], 2),
-                                             ("rate", {"hz": 1500}, 2)])
-    def test_mistyped_values_are_argument_errors(self, tmp_path, capsys, key, value, n):
-        out = tmp_path / "x.csv"
-        config = self.write_config(tmp_path, L=0.41, k=5.78, n=n, mass=0.09, out=str(out),
-                                   **{key: value})
-        code, _, stderr = run(capsys, "plan", "--config", config)
-        assert code == 2
-        assert stderr.startswith("error: ") and stderr.count("\n") == 1
-        assert f"--{key}" in stderr and "Traceback" not in stderr
-        assert not out.exists()
-
-    @pytest.mark.parametrize("masses,count", [(5, 1), ([0.02, 0.09], 2)])
-    def test_masses_via_config(self, tmp_path, capsys, beam_json, masses, count):
-        out = tmp_path / "table.csv"
-        config = self.write_config(tmp_path, beam=beam_json, masses=masses, L=0.41,
-                                   out=str(out))
-        code, _, stderr = run(capsys, "report", "--config", config)
-        assert code == 0, stderr
-        _, columns = read_numeric_csv(out, n_columns=4)
-        assert len(columns[0]) == count
-
-    @pytest.mark.parametrize("key,value", [("help", True), ("config", "nope.json")])
-    def test_help_and_config_keys_are_argument_errors(self, tmp_path, capsys, key, value):
-        out = tmp_path / "x.csv"
-        config = self.write_config(tmp_path, L=0.41, k=5.78, n=2, mass=0.09, out=str(out),
-                                   **{key: value})
-        code, stdout, stderr = run(capsys, "plan", "--config", config)
-        assert one_error_line(code, stderr) and stdout == ""
-        assert f"may not hold the key '{key}'" in stderr
-        assert not out.exists()
-
-    def test_exploratory_via_config(self, tmp_path, capsys):
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps(dict(L=0.41, k=5.78, n=2.5, mass=0.09,
-                                          exploratory=True)))
-        code, stdout, _ = run(capsys, "simulate", "--config", str(config))
-        assert code == 0
         assert json.loads(stdout)["quiescent"] is False
+
+    def test_blank_lines_and_crlf_ends(self, tmp_path, capsys):
+        out = tmp_path / "plan.csv"
+        lines = ["", *MOVE[:4], "   ", *MOVE[4:], "", "--rate=100", f"--out={out}", "\t"]
+        args = write_args(tmp_path / "move.args", *lines, newline="\r\n")
+        code, _, stderr = run(capsys, "plan", args)
+        assert code == 0, stderr
+        assert len(read_numeric_csv(out, n_columns=4)[1][0]) == 218
+
+    def test_files_do_not_nest(self, tmp_path, capsys):
+        # a line naming a file, this one included, is an argument as written
+        path = tmp_path / "move.args"
+        args = write_args(path, *MOVE, f"@{path}")
+        code, stdout, stderr = run(capsys, "plan", args, "--out", str(tmp_path / "x.csv"))
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: unrecognized arguments: @{path}\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_a_missing_file_or_a_directory_is_an_io_error(self, tmp_path, capsys, kind):
+        path = tmp_path / "move.args"
+        if kind == "directory":
+            path.mkdir()
+        code, stdout, stderr = run(capsys, "plan", f"@{path}")
+        assert (code, stdout) == (1, "")
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert repr(str(path)) in stderr
+
+    def test_a_file_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        path = tmp_path / "move.args"
+        path.write_bytes(b"--L=0.41\n--k=5.\x80\n")
+        code, stdout, stderr = run(capsys, "plan", f"@{path}")
+        assert (code, stdout) == (2, "")
+        assert stderr == (f"error: {path}: 'utf-8' codec can't decode byte 0x80 in position 15: "
+                          "invalid start byte\n")
+
+    @pytest.mark.parametrize("line,typed,unknown", [
+        ("--sample-rate=100", (), "--sample-rate=100"), ("--rat=50", (), "--rat=50"),
+        ("--h", (), "--h"), ("", ("--rat", "50"), "--rat 50")],
+        ids=["unknown", "abbreviated", "help-prefix", "abbreviated-typed"])
+    def test_flags_are_spelled_in_full(self, tmp_path, capsys, line, typed, unknown):
+        # --rat is not --rate, and --h is not --help
+        out = tmp_path / "x.csv"
+        args = write_args(tmp_path / "move.args", *MOVE, f"--out={out}", line)
+        code, stdout, stderr = run(capsys, "plan", args, *typed)
+        assert stderr == f"error: unrecognized arguments: {unknown}\n"
+        assert (code, stdout) == (2, "") and not out.exists()
+
+    def test_config_is_an_unknown_flag(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code, _, stderr = run(capsys, "plan", *MOVE, "--out", str(out), "--config", "x.json")
+        assert stderr == "error: unrecognized arguments: --config x.json\n"
+        assert code == 2 and not out.exists()
+
+    def test_an_output_path_that_starts_with_at(self, tmp_path, capsys, monkeypatch):
+        # --out @x.csv reads the argument file x.csv; ./@x.csv and --out=@y.csv do not
+        monkeypatch.chdir(tmp_path)
+        code, _, stderr = run(capsys, "plan", *MOVE, "--out", "@x.csv")
+        assert stderr == "error: [Errno 2] No such file or directory: 'x.csv'\n"
+        assert (code, list(tmp_path.iterdir())) == (1, [])
+        assert run(capsys, "plan", *MOVE, "--out", "./@x.csv")[0] == 0
+        assert run(capsys, "plan", *MOVE, "--out=@y.csv")[0] == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["@x.csv", "@y.csv"]
 
 
 def one_error_line(code, stderr):
@@ -527,7 +539,7 @@ class TestMalformedInput:
         assert one_error_line(code, stderr), stderr
         assert not out.exists()
 
-    @pytest.mark.parametrize("source", [("--beam",), ("--k", "5.78", "--config")])
+    @pytest.mark.parametrize("source", [("--beam",)])
     def test_deeply_nested_json(self, tmp_path, capsys, source):
         doc = tmp_path / "deep.json"
         doc.write_text("[" * 100_000 + "]" * 100_000)
@@ -536,14 +548,12 @@ class TestMalformedInput:
         assert one_error_line(code, stderr), stderr
         assert "nested too deeply" in stderr
 
-    @pytest.mark.parametrize("kind", ["beam", "config", "trace"])
+    @pytest.mark.parametrize("kind", ["beam", "trace"])
     @pytest.mark.parametrize("fault", ["syntax", "not-utf-8"])
     def test_an_unreadable_input_file_is_named(self, tmp_path, capsys, kind, fault):
         content = {
             ("beam", "syntax"): b'{"l": 0.305, ',
             ("beam", "not-utf-8"): b'{"l": 0.305, "b": \x80}',
-            ("config", "syntax"): b'{"L": ',
-            ("config", "not-utf-8"): b'{"L": \x80}',
             ("trace", "syntax"): b"t,a_tip\n0,0\n0.1,1,2\n",
             ("trace", "not-utf-8"): b"t,a_tip\n0,0\n0.1,\x80\n",
         }[kind, fault]
@@ -553,8 +563,6 @@ class TestMalformedInput:
         argv = {
             "beam": ("plan", "--L", "0.41", "--beam", str(path), "--n", "2", "--mass", "0.09",
                      "--out", str(out)),
-            "config": ("plan", "--L", "0.41", "--k", "5.78", "--n", "2", "--mass", "0.09",
-                       "--out", str(out), "--config", str(path)),
             "trace": ("filter", "--in", str(path), "--out", str(out)),
         }[kind]
         code, _, stderr = run(capsys, *argv)
@@ -564,19 +572,17 @@ class TestMalformedInput:
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="this Python has no integer digit limit")
-    @pytest.mark.parametrize("kind", ["beam", "config"])
+    @pytest.mark.parametrize("kind", ["beam"])
     def test_an_integer_past_the_digit_limit_is_named(self, tmp_path, capsys, kind):
         # a 5001-digit integer: the JSON decoder's int() refuses it past the 4300-digit limit
         path = tmp_path / f"{kind}.json"
-        path.write_text('{"%s": 1%s}' % ({"beam": "l", "config": "L"}[kind], "0" * 5000))
+        path.write_text('{"l": 1%s}' % ("0" * 5000))
         out = tmp_path / "out.csv"
-        source = {"beam": ("--beam", str(path)), "config": ("--k", "5.78", "--config", str(path))}
         code, _, stderr = run(capsys, "plan", "--L", "0.41", "--n", "2", "--mass", "0.09",
-                              "--out", str(out), *source[kind])
+                              "--out", str(out), "--beam", str(path))
         assert one_error_line(code, stderr), stderr
-        what = {"beam": "beam document", "config": "config"}[kind]
         assert stderr.startswith(
-            f"error: {path}: {what} holds an integer longer than this Python converts: "
+            f"error: {path}: beam document holds an integer longer than this Python converts: "
             "Exceeds the limit"), stderr
         assert not out.exists()
 
@@ -701,44 +707,59 @@ def test_any_json_value_in_a_beam_field(tmp_path_factory, field, value, command)
         run_quietly(["report", "--beam", str(beam), "--masses", "0.02,0.09", "--L", "0.41"])
 
 
-CONFIG_BASES = {
-    "plan": dict(L=0.41, k=5.78, n=2, mass=0.09, rate=50),
-    "simulate": dict(L=0.41, k=5.78, n=2, mass=0.09, step=0.01),
-    "sweep": dict(L=0.41, k=5.78, mass=0.09, n_from=2, n_to=3, step=0.25),
-    "report": dict(masses=[0.02, 0.09], L=0.41, n=2, unmatched_n=2.5),
+#: a valid argv of each subcommand ({dir} is the example's directory), and the
+#: flags whose values the fuzz varies
+ARGS_BASES = {
+    "plan": ([*MOVE, "--rate", "50", "--out", "{dir}/out.csv"],
+             ["--L", "--k", "--n", "--mass", "--rate", "--exploratory"]),
+    "simulate": ([*MOVE, "--step", "0.01"],
+                 ["--L", "--k", "--n", "--mass", "--step", "--exploratory"]),
+    "sweep": (["--L", "0.41", "--k", "5.78", "--mass", "0.09", "--n-from", "2", "--n-to", "3",
+               "--step", "0.25", "--out", "{dir}/out.csv"],
+              ["--L", "--k", "--mass", "--n-from", "--n-to", "--step"]),
+    "filter": (["--in", "{dir}/tip.csv", "--out", "{dir}/out.csv"], ["--order", "--cutoff-hz"]),
+    "report": (["--beam", "{dir}/beam.json", "--masses", "0.02,0.09", "--L", "0.41"],
+               ["--masses", "--L", "--n", "--unmatched-n"]),
 }
-CONFIG_NUMBERS = (st.integers(-3, 12) | st.floats(-3.0, 12.0).map(lambda x: round(x, 2))
-                  | st.sampled_from([1e-300, 1e300]))
-CONFIG_VALUES = st.recursive(
-    st.none() | st.booleans() | CONFIG_NUMBERS | st.text(max_size=6)
-    | CONFIG_NUMBERS.map(str),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
-                                                                 max_size=2),
-    max_leaves=4)
+ARGS_NUMBERS = (st.integers(-3, 12) | st.floats(-3.0, 12.0).map(lambda x: round(x, 2))
+                | st.sampled_from([1e-300, 1e300])).map(str)
+ARGS_VALUES = ARGS_NUMBERS | st.sampled_from(["", "x", "nan", "inf", "0.02,,0.09", "--L", "@"])
 
 
 @settings(max_examples=150, deadline=None)
-@given(command=st.sampled_from(sorted(CONFIG_BASES)), data=st.data())
-def test_any_json_value_in_a_config_document(tmp_path_factory, command, data):
-    # numbers stay coarse, so that a run that is accepted stays cheap; the types vary
-    base = CONFIG_BASES[command]
-    doc = dict(base, **data.draw(st.dictionaries(
-        st.sampled_from(sorted(base) + ["exploratory", "cutoff_hz"]), CONFIG_VALUES,
-        max_size=3)))
-    workdir = tmp_path_factory.mktemp("config")
-    if command == "report":
-        doc["beam"] = str(workdir / "beam.json")
+@given(command=st.sampled_from(sorted(ARGS_BASES)), data=st.data(),
+       newline=st.sampled_from(["\n", "\r\n"]))
+def test_any_lines_in_an_args_file(tmp_path_factory, command, data, newline):
+    # numbers stay coarse, so that a run that is accepted stays cheap; the lines vary
+    workdir = tmp_path_factory.mktemp("args")
+    path = workdir / "move.args"
+    base, flags = ARGS_BASES[command]
+    lines = [arg.format(dir=workdir).encode() for arg in base]
+    flag_value = st.tuples(st.sampled_from(flags), ARGS_VALUES)
+    line = st.one_of(  # one or two lines: --flag=value, --flag and value, a bare flag, other
+        flag_value.map(lambda fv: [f"{fv[0]}={fv[1]}".encode()]),
+        flag_value.map(lambda fv: [arg.encode() for arg in fv]),
+        st.sampled_from(flags).map(lambda flag: [flag.encode()]),
+        st.sampled_from([[b""], [b"  "], [f"@{path}".encode()], [b"--L=0.\x80"]]),
+    )
+    for at, extra in data.draw(st.lists(st.tuples(st.integers(0, len(lines)), line),
+                                        max_size=3)):
+        lines[at:at] = extra
+    path.write_bytes(b"".join(arg + newline.encode() for arg in lines))
+    if command == "filter":
+        t = np.arange(120) / 1500.0
+        write_csv(workdir / "tip.csv", ("t", "a_tip"), (t, np.sin(t)))
+    elif command == "report":
         (workdir / "beam.json").write_text(json.dumps(BENCH_BEAM))
-    elif command != "simulate":
-        doc["out"] = str(workdir / "out.csv")
-    config = workdir / "run.json"
-    config.write_text(json.dumps(doc))
-    code = run_quietly([command, "--config", str(config)])
-    assert code in (0, 2)
-    mistyped = [key for key, value in doc.items()
-                if key not in ("out", "beam", "masses") and isinstance(value, (str, list, dict))]
-    if mistyped:  # a string, list or object where a number or a bool belongs
-        assert code == 2
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([command, f"@{path}"])
+    stderr = stderr.getvalue()
+    assert (code, stderr) == (0, "") or one_error_line(code, stderr), stderr
+    if b"\x80" in b"".join(lines):
+        assert stderr.startswith(f"error: {path}: 'utf-8' codec can't decode"), stderr
+    elif f"@{path}".encode() in lines:  # an argument as written, which no flag accepts
+        assert code == 2, stderr
 
 
 @settings(max_examples=150, deadline=None)
@@ -803,3 +824,23 @@ def test_a_cli_process_keeps_its_status_and_its_output(tmp_path, beam_json, laun
         assert (proc.stdout, proc.stderr) == (stdout.getvalue(), stderr.getvalue())
         assert proc.stderr.count("\n") == (status != 0)
         assert len(proc.stdout) > 64 * 1024 or status != 0
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate", "sweep", "report", "filter"])
+def test_a_closed_stdout_is_an_io_error(tmp_path, beam_json, command):
+    # with fd 1 closed Python sets sys.stdout to None, and print drops the text with
+    # exit 0; filter prints nothing, so it loses nothing
+    t = np.arange(120) / 1500.0
+    write_csv(tmp_path / "tip.csv", ("t", "a_tip"), (t, np.sin(t)))
+    out = ("--out", str(tmp_path / "out.csv"))
+    argv = {"plan": (*MOVE, *out), "simulate": MOVE,
+            "sweep": (*MOVE[:4], *MOVE[6:], "--n-from", "2", "--n-to", "3", "--step", "1", *out),
+            "report": ("--beam", beam_json, "--masses", "0.09", "--L", "0.41"),
+            "filter": ("--in", str(tmp_path / "tip.csv"), *out)}[command]
+    proc = subprocess.run([sys.executable, "-m", "flexmove", command, *argv],
+                          stderr=subprocess.PIPE, text=True, env=child_env(), timeout=60,
+                          preexec_fn=lambda: os.close(1))
+    if command == "filter":
+        assert (proc.returncode, proc.stderr) == (0, "")
+    else:
+        assert (proc.returncode, proc.stderr) == (1, "error: standard output is closed\n")

@@ -23,6 +23,11 @@ COMMANDS = [line for match in re.finditer(r"^```\n(.*?)^```$", TEXT, re.MULTILIN
             for line in match.group(1).splitlines() if line.startswith("flexmove ")]
 
 
+#: the arguments of README's `printf '%s\n' ... > move.args` line, one a line of the file
+ARGS_FILE = next(shlex.split(line)[2:-2] for line in TEXT.splitlines()
+                 if line.startswith("printf ") and line.endswith(" > move.args"))
+
+
 def test_the_readme_has_python_examples():
     assert len(BLOCKS) >= 2
 
@@ -41,8 +46,10 @@ def test_the_readme_has_cli_examples():
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_readme_command_runs(tmp_path, monkeypatch, capsys, command):
-    # the files the examples read: the bench beam and the bench move's tip trace
+    # the files the examples read: the bench beam, the bench move's tip trace and
+    # the argument file that README writes
     monkeypatch.chdir(tmp_path)
     (tmp_path / "beam.json").write_text(json.dumps(BENCH_BEAM))
+    (tmp_path / "move.args").write_text("".join(arg + "\n" for arg in ARGS_FILE))
     save_trace("tip.csv", tip_trace(MotionSpec(**BENCH), 1500.0))
     assert main(shlex.split(command)[1:]) == 0, capsys.readouterr().err

@@ -330,10 +330,13 @@ def test_write_csv_writes_any_array_dtype_as_float64(tmp_path_factory, columns):
                                      ([0.0, 1.0], np.array([1 + 2j, 3 - 1j]))],
                          ids=["2-D", "1-D and 2-D", "complex"])
 def test_write_csv_rejects_a_column_that_is_not_1d_and_real(tmp_path, columns):
-    path = tmp_path / "table.csv"
-    with pytest.raises(ValueError):
-        write_csv(path, [f"c{i}" for i in range(len(columns))], columns)
-    assert path.read_bytes().count(b"\n") == 1  # the header, and no row
+    # checked before the file is opened: no file is made, and an existing one keeps its bytes
+    path, kept = tmp_path / "table.csv", tmp_path / "kept.csv"
+    kept.write_bytes(b"t\n0\n")
+    for target in (path, kept):
+        with pytest.raises(ValueError, match="each column must be one-dimensional and real"):
+            write_csv(target, [f"c{i}" for i in range(len(columns))], columns)
+    assert not path.exists() and kept.read_bytes() == b"t\n0\n"
 
 
 def test_save_trace_with_big_endian_t(tmp_path):
