@@ -3,7 +3,7 @@
 
 class _Numpy:
     def __getattr__(self, name):  # only for names not yet cached on the instance
-        import numpy  # the package's one deferred import
+        import numpy  # loaded by the first array operation, not by the import
         value = getattr(numpy, name)
         setattr(self, name, value)
         return value

@@ -12,8 +12,7 @@ class Record:
     _fields: tuple[str, ...] = ()
 
     def _set(self, **values) -> None:
-        for name, value in values.items():
-            object.__setattr__(self, name, value)
+        self.__dict__.update(values)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")

@@ -7,9 +7,7 @@ natural angular frequency sqrt(c/m).
 
 from __future__ import annotations
 
-import json
 import math
-import numbers
 import sys
 
 from ._record import Record
@@ -17,13 +15,19 @@ from ._record import Record
 
 def positive_finite(name: str, value) -> float:
     """Return value as a float if it is a real number in (0, largest float], bools excluded."""
-    if not isinstance(value, bool) and isinstance(value, numbers.Real):
-        try:  # a numpy scalar is compared as a float, not the float's maximum cast to its type
-            number = float(value)
-        except OverflowError:  # an int beyond the float range
-            number = math.inf
-        if 0.0 < number <= sys.float_info.max:
-            return number
+    if type(value) is float:  # the common case, without the ABC check
+        number = value
+    else:
+        import numbers
+
+        number = math.nan  # what is not a real number fails the range check
+        if not isinstance(value, bool) and isinstance(value, numbers.Real):
+            try:  # a numpy scalar is compared as a float, not the float's maximum cast to its type
+                number = float(value)
+            except OverflowError:  # an int beyond the float range
+                number = math.inf
+    if 0.0 < number <= sys.float_info.max:
+        return number
     raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
 
@@ -66,6 +70,8 @@ def load_beam(path, tip_mass: float | None = None) -> BeamSpec:
     BeamSpec rejects a string or a bool; ``tip_mass`` overrides the document's
     m_tip and must be given when the document omits that key.
     """
+    import json  # only jobs that read a beam document load it
+
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)

@@ -5,13 +5,17 @@ UTF-8 file, one argument a line, so that a flag after it overrides the file's.
 Every validation failure, argument errors included, exits with status 2 and a
 one-line diagnostic; I/O failures, a closed standard output among them, exit
 with status 1.
+
+Each subcommand's flags are declared once, in ``_COMMANDS``.  A plain argv is
+read from that table directly; argparse, built from the same table, is loaded
+only for the rest (help and argument errors), so its texts are the ones shown.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .analysis import _carried_masses, amplitude_table, sweep_n
 from .beam import load_beam
@@ -19,16 +23,6 @@ from .filters import design_butterworth, filtfilt
 from .motion import MotionSpec
 from .oscillator import residual_report, simulate_relative, write_relative_trace
 from .timeseries import fmt, load_trace, save_trace
-
-
-class _Parser(argparse.ArgumentParser):
-    """Argument parser that raises usage errors as ValueError instead of exiting."""
-
-    def __init__(self, *args, **kwargs):  # a flag is spelled in full
-        super().__init__(*args, allow_abbrev=False, **kwargs)
-
-    def error(self, message):
-        raise ValueError(message)
 
 
 def _expand_args(argv) -> list[str]:
@@ -103,6 +97,8 @@ def _cmd_simulate(args) -> int:
     report = residual_report(spec, trace)
     if args.trace_out is not None:
         write_relative_trace(args.trace_out, spec, trace)
+    import json  # only simulate prints JSON
+
     _print(json.dumps(report.as_dict(), indent=2))
     return 0
 
@@ -139,79 +135,146 @@ def float_list(text: str) -> list[float]:
     return [float(item) for item in text.split(",") if item.strip()]
 
 
-def _add_payload_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--L", type=float, required=True, help="displacement of the move [m]")
-    parser.add_argument("--k", type=float, help="payload natural angular frequency [rad/s]")
-    parser.add_argument("--beam", help="JSON beam document supplying the frequency")
-    parser.add_argument("--mass", type=float, help="carried object mass [kg] (default: beam m_tip)")
+class _Flag(NamedTuple):
+    """One flag of a subcommand: where its value goes and how it is read."""
+
+    dest: str
+    type: object = None  # None: the value is kept as written
+    default: object = None
+    required: bool = False
+    store_true: bool = False  # a bare flag, True when given
+    help: str = ""
 
 
-def _add_motion_arguments(parser: argparse.ArgumentParser) -> None:
-    _add_payload_arguments(parser)
-    parser.add_argument("--n", type=float, required=True,
-                        help="period multiple t1/t_c (integer >= 2 unless --exploratory)")
-    parser.add_argument("--exploratory", action="store_true",
-                        help="allow non-integer n > 1 (move will not end quiescent)")
+_PAYLOAD = {
+    "--L": _Flag("L", float, required=True, help="displacement of the move [m]"),
+    "--k": _Flag("k", float, help="payload natural angular frequency [rad/s]"),
+    "--beam": _Flag("beam", help="JSON beam document supplying the frequency"),
+    "--mass": _Flag("mass", float, help="carried object mass [kg] (default: beam m_tip)"),
+}
+
+_MOTION = {
+    **_PAYLOAD,
+    "--n": _Flag("n", float, required=True,
+                 help="period multiple t1/t_c (integer >= 2 unless --exploratory)"),
+    "--exploratory": _Flag("exploratory", default=False, store_true=True,
+                           help="allow non-integer n > 1 (move will not end quiescent)"),
+}
+
+#: each subcommand's help line, handler and flags, in the order the help lists them
+_COMMANDS = {
+    "plan": ("write a t,s,v,a setpoint CSV for one move", _cmd_plan, {
+        **_MOTION,
+        "--rate": _Flag("rate", float, 1500.0,
+                        help="setpoint sample rate [Hz] (default 1500)"),
+        "--out": _Flag("out", required=True, help="output CSV path"),
+    }),
+    "simulate": ("integrate the relative motion and report quiescence", _cmd_simulate, {
+        **_MOTION,
+        "--step": _Flag("step", float, help="RK4 time step [s] (default t1/20000)"),
+        "--trace-out": _Flag("trace_out", help="optional t,x_r,v_r,a_r CSV path"),
+    }),
+    "sweep": ("scan the period multiple and tabulate residuals", _cmd_sweep, {
+        **_PAYLOAD,
+        "--n-from": _Flag("n_from", float, required=True, help="first period multiple (> 1)"),
+        "--n-to": _Flag("n_to", float, required=True, help="last period multiple"),
+        "--step": _Flag("step", float, required=True, help="multiple increment"),
+        "--out": _Flag("out", required=True, help="output CSV path"),
+    }),
+    "filter": ("zero-phase low-pass a t,<value> trace CSV", _cmd_filter, {
+        "--in": _Flag("infile", required=True, help="input trace CSV"),
+        "--out": _Flag("out", required=True, help="output trace CSV"),
+        "--order": _Flag("order", int, 4, help="filter order (2, 4, 6 or 8; default 4)"),
+        "--cutoff-hz": _Flag("cutoff_hz", float, 20.0,
+                             help="cutoff frequency [Hz] (default 20)"),
+    }),
+    "report": ("matched vs mistimed amplitude table across masses", _cmd_report, {
+        "--beam": _Flag("beam", required=True, help="JSON beam document (geometry and material)"),
+        "--masses": _Flag("masses", float_list, required=True,
+                          help="comma-separated carried masses [kg]"),
+        "--L": _PAYLOAD["--L"],
+        "--n": _Flag("n", float, 2.0, help="matched period multiple (default 2)"),
+        "--unmatched-n": _Flag("unmatched_n", float, 2.5,
+                               help="mistimed period multiple (default 2.5)"),
+        "--out": _Flag("out", help="optional CSV output path"),
+    }),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+def build_parser():
+    """The argparse parser of _COMMANDS, whose errors raise ValueError instead of exiting."""
+    import argparse  # only help and argument errors get this far
+
+    class Parser(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):  # a flag is spelled in full
+            super().__init__(*args, allow_abbrev=False, **kwargs)
+
+        def error(self, message):
+            raise ValueError(message)
+
+    parser = Parser(
         prog="flexmove",
         description="Plan and analyse oscillation-free moves of flexible payloads.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    plan = sub.add_parser("plan", help="write a t,s,v,a setpoint CSV for one move")
-    _add_motion_arguments(plan)
-    plan.add_argument("--rate", type=float, default=1500.0,
-                      help="setpoint sample rate [Hz] (default 1500)")
-    plan.add_argument("--out", required=True, help="output CSV path")
-    plan.set_defaults(handler=_cmd_plan)
-
-    simulate = sub.add_parser("simulate",
-                              help="integrate the relative motion and report quiescence")
-    _add_motion_arguments(simulate)
-    simulate.add_argument("--step", type=float, help="RK4 time step [s] (default t1/20000)")
-    simulate.add_argument("--trace-out", dest="trace_out", help="optional t,x_r,v_r,a_r CSV path")
-    simulate.set_defaults(handler=_cmd_simulate)
-
-    sweep = sub.add_parser("sweep", help="scan the period multiple and tabulate residuals")
-    _add_payload_arguments(sweep)
-    sweep.add_argument("--n-from", dest="n_from", type=float, required=True,
-                       help="first period multiple (> 1)")
-    sweep.add_argument("--n-to", dest="n_to", type=float, required=True,
-                       help="last period multiple")
-    sweep.add_argument("--step", type=float, required=True, help="multiple increment")
-    sweep.add_argument("--out", required=True, help="output CSV path")
-    sweep.set_defaults(handler=_cmd_sweep)
-
-    filt = sub.add_parser("filter", help="zero-phase low-pass a t,<value> trace CSV")
-    filt.add_argument("--in", dest="infile", required=True, help="input trace CSV")
-    filt.add_argument("--out", required=True, help="output trace CSV")
-    filt.add_argument("--order", type=int, default=4,
-                      help="filter order (2, 4, 6 or 8; default 4)")
-    filt.add_argument("--cutoff-hz", dest="cutoff_hz", type=float, default=20.0,
-                      help="cutoff frequency [Hz] (default 20)")
-    filt.set_defaults(handler=_cmd_filter)
-
-    report = sub.add_parser("report", help="matched vs mistimed amplitude table across masses")
-    report.add_argument("--beam", required=True,
-                        help="JSON beam document (geometry and material)")
-    report.add_argument("--masses", type=float_list, required=True,
-                        help="comma-separated carried masses [kg]")
-    report.add_argument("--L", type=float, required=True, help="displacement of the move [m]")
-    report.add_argument("--n", type=float, default=2.0,
-                        help="matched period multiple (default 2)")
-    report.add_argument("--unmatched-n", dest="unmatched_n", type=float, default=2.5,
-                        help="mistimed period multiple (default 2.5)")
-    report.add_argument("--out", help="optional CSV output path")
-    report.set_defaults(handler=_cmd_report)
-
+    for command, (help_line, handler, flags) in _COMMANDS.items():
+        subparser = sub.add_parser(command, help=help_line)
+        for flag, spec in flags.items():
+            if spec.store_true:
+                subparser.add_argument(flag, dest=spec.dest, action="store_true", help=spec.help)
+            else:
+                subparser.add_argument(flag, dest=spec.dest, type=spec.type, default=spec.default,
+                                       required=spec.required, help=spec.help)
+        subparser.set_defaults(handler=handler)
     return parser
+
+
+def _fast_args(argv):
+    """The namespace build_parser() makes of argv, read without argparse; None when
+    argv is not a subcommand followed by its flags, each with a value that converts.
+
+    A value follows its flag as the next argument, unless it starts with "-", or
+    shares it as ``--flag=value``; a later value of a flag wins.  What this does
+    not read (help, an unknown or abbreviated flag, a missing value, "--") is left
+    to argparse, so its messages and exit codes are argparse's own.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, flags = _COMMANDS[argv[0]]
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        spec = flags.get(flag)
+        if spec is None:
+            return None
+        if spec.store_true:
+            if eq:
+                return None
+            given[spec.dest] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+        try:
+            given[spec.dest] = value if spec.type is None else spec.type(value)
+        except ValueError:
+            return None
+    if any(spec.required and spec.dest not in given for spec in flags.values()):
+        return None
+    defaults = {spec.dest: spec.default for spec in flags.values()}
+    return SimpleNamespace(command=argv[0], **(defaults | given), handler=handler)
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(_expand_args(sys.argv[1:] if argv is None else argv))
+        argv = _expand_args(sys.argv[1:] if argv is None else argv)
+        args = _fast_args(argv)
+        if args is None:
+            try:
+                args = build_parser().parse_args(argv)
+            except SystemExit as exc:  # the help action, after printing the help
+                return exc.code
         return args.handler(args)
     except (ValueError, OSError) as exc:  # a message may quote input with line breaks
         print("error:", " ".join(str(exc).splitlines()), file=sys.stderr)

@@ -10,7 +10,6 @@ phase shift: waveform features stay where they happened.
 from __future__ import annotations
 
 import math
-import numbers
 from typing import NamedTuple
 
 from ._numpy import np
@@ -59,6 +58,8 @@ class FilterDesign(Record):
     _fields = ("order", "cutoff_hz", "rate_hz")
 
     def __init__(self, order: int, cutoff_hz: float, rate_hz: float) -> None:
+        import numbers  # only filter jobs design a filter
+
         if not isinstance(order, numbers.Integral) or order not in ALLOWED_ORDERS:
             raise ValueError(f"filter order must be one of {ALLOWED_ORDERS}, got {order}")
         if not 0.0 < cutoff_hz < 0.5 * positive_finite("sample rate", rate_hz):

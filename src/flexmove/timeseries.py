@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import codecs
-import csv
 import os
 import stat
 from array import array
@@ -318,6 +317,8 @@ def _plain_header(name, n_columns):
     module's field limit (numpy has none), and the body holds more than
     whitespace (numpy warns on a file without data).
     """
+    import csv  # only reading a trace needs it
+
     limit = csv.field_size_limit()
     with open(name, "rb") as fh:
         chunks = codecs.iterdecode(iter(partial(fh.read, _READ_BYTES), b""), "utf-8")
@@ -364,6 +365,8 @@ def _line_run(text, run, limit):
 
 
 def _read_csv_checked(path, n_columns):
+    import csv
+
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:

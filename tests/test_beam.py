@@ -1,5 +1,8 @@
 import json
 import math
+import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -138,6 +141,35 @@ class TestBeamSpec:
         params[field] = True
         with pytest.raises(ValueError, match=f"^{field} must be a positive finite number"):
             BeamSpec(**params)
+
+
+class _Float(float):
+    pass
+
+
+#: (value, what positive_finite("x", value) returns: a float, or None for the
+#: ValueError that quotes the value)
+POSITIVE_FINITE = [
+    (_Float(2.5), 2.5), (np.float64(2.5), 2.5), (np.float32(0.1), 0.10000000149011612),
+    (-0.0, None), (5e-324, 5e-324), (sys.float_info.max, sys.float_info.max),
+    (math.inf, None), (math.nan, None), (True, None), (10**400, None),
+    (Fraction(1, 3), 1 / 3), (Decimal("1"), None), ("1", None),
+]
+
+
+@pytest.mark.parametrize("value,number", POSITIVE_FINITE, ids=[
+    "float-subclass", "float64", "float32", "minus-zero", "subnormal", "float-max", "inf", "nan",
+    "bool", "int-past-float", "fraction", "decimal", "str"])
+def test_positive_finite_on_every_kind_of_value(value, number):
+    # a plain float skips the numbers.Real check; every other kind still takes it
+    if number is None:
+        with pytest.raises(ValueError) as info:
+            positive_finite("x", value)
+        assert str(info.value) == f"x must be a positive finite number, got {value!r}"
+    else:
+        result = positive_finite("x", value)
+        assert type(result) is float and result == number
+        assert result is value or type(value) is not float
 
 
 class TestLoadBeam:

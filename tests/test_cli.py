@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,9 @@ from hypothesis import strategies as st
 
 from conftest import BENCH_BEAM, child_env
 import flexmove.__main__
-from flexmove.cli import main
+from flexmove.cli import _COMMANDS, _expand_args, _fast_args, build_parser, main
+from test_golden import CASES as GOLDEN_CASES
+from test_readme import ARGS_FILE as README_ARGS_FILE, COMMANDS as README_COMMANDS
 from flexmove.timeseries import read_numeric_csv, write_csv
 
 
@@ -518,6 +521,25 @@ class TestArgsFile:
         assert sorted(path.name for path in tmp_path.iterdir()) == ["@x.csv", "@y.csv"]
 
 
+class TestHelp:
+    """argparse's help action exits the process; main returns its status instead."""
+
+    @pytest.mark.parametrize("argv,usage", [(["--help"], "usage: flexmove [-h] {plan,"),
+                                            (["plan", "--help"], "usage: flexmove plan [-h]")],
+                             ids=["top", "plan"])
+    def test_help_returns_0_with_the_help_on_stdout(self, capsys, argv, usage):
+        code, stdout, stderr = run(capsys, *argv)
+        assert (code, stderr) == (0, "")
+        assert stdout.startswith(usage)
+
+    def test_a_help_line_in_an_args_file(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        args = write_args(tmp_path / "move.args", *MOVE, f"--out={out}", "--help")
+        code, stdout, stderr = run(capsys, "plan", args)
+        assert (code, stderr) == (0, "")
+        assert stdout.startswith("usage: flexmove plan [-h]") and not out.exists()
+
+
 def one_error_line(code, stderr):
     return code == 2 and stderr.startswith("error: ") and stderr.count("\n") == 1
 
@@ -775,6 +797,79 @@ def test_any_text_in_a_trace_csv(tmp_path_factory, junk, at, header):
     inp = workdir / "trace.csv"
     inp.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
     run_quietly(["filter", "--in", str(inp), "--out", str(workdir / "filtered.csv")])
+
+
+def argparse_vars(argv):
+    """vars of build_parser()'s namespace for argv; None where argparse rejects argv or
+    prints help."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except (ValueError, SystemExit):
+            return None
+
+
+def same_namespace(fast, expected):
+    """Whether a _fast_args namespace holds expected's items; NaN equals NaN, and -0.0
+    differs from 0.0, since the items are compared by repr."""
+    return repr(sorted(vars(fast).items())) == repr(sorted(expected.items()))
+
+
+#: a value of each flag type that converts, so that drawn argvs often parse
+PLAIN_VALUES = {float: "0.5", int: "4", None: "out.csv"}
+FLAG_VALUES = st.sampled_from(["0.41", "4", "-1", "nan", "1e400", "", "x", "1,,2", "0.02,0.09",
+                               "@x", "-", "--L", "a=b"])
+
+
+@st.composite
+def table_argvs(draw):
+    """An argv of one subcommand from its table: each required flag, left out one time
+    in eight, and up to four more items (a flag with a value in either form, a bare
+    flag, or a token no subcommand reads), in any order."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    flags = _COMMANDS[command][2]
+    items = [[flag, PLAIN_VALUES.get(spec.type, "0.02,0.09")] for flag, spec in flags.items()
+             if spec.required and draw(st.integers(0, 7))]
+    flag = st.sampled_from(sorted(flags))
+    items += draw(st.lists(st.one_of(
+        st.tuples(flag, FLAG_VALUES).map(list),
+        st.tuples(flag, FLAG_VALUES).map(lambda fv: ["=".join(fv)]),
+        flag.map(lambda name: [name]),
+        st.sampled_from([["--help"], ["-h"], ["--rat", "5"], ["--"], ["--no-such-flag"],
+                         ["--exploratory=x"], ["x"], ["plan"]]),
+    ), max_size=4))
+    return [command, *(token for item in draw(st.permutations(items)) for token in item)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=table_argvs())
+def test_the_fast_path_reads_argv_as_argparse_does(argv):
+    fast = _fast_args(argv)
+    if fast is not None:
+        expected = argparse_vars(argv)
+        assert expected is not None and same_namespace(fast, expected), (vars(fast), expected)
+
+
+def test_the_fast_path_declines_what_argparse_reports():
+    for argv in (["plan", "--help"], ["plan", *MOVE, "--out", "x.csv", "--rat", "5"],
+                 ["plan", *MOVE, "--out"], ["plan", *MOVE, "--out", "x.csv", "--"],
+                 ["plan", *MOVE, "--out", "x.csv", "--exploratory=x"],
+                 ["plan", "--L", "-1", *MOVE[2:], "--out", "x.csv"], ["sweep", "--L", "1"],
+                 ["filter", "--in", "a", "--out", "b", "--order", "4.0"], [], ["--help"]):
+        assert _fast_args(argv) is None, argv
+
+
+def test_every_golden_and_readme_argv_takes_the_fast_path(tmp_path, monkeypatch):
+    # so that the fast path cannot quietly hand the traffic it exists for to argparse
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "move.args").write_text("".join(arg + "\n" for arg in README_ARGS_FILE))
+    argvs = [argv for argv, _ in GOLDEN_CASES.values()]
+    argvs += [_expand_args(shlex.split(line)[1:]) for line in README_COMMANDS]
+    assert len(argvs) >= 14
+    for argv in argvs:
+        fast = _fast_args(argv)
+        assert fast is not None, argv
+        assert same_namespace(fast, argparse_vars(argv)), argv
 
 
 def test_main_in_process_freezes_nothing(tmp_path, capsys):

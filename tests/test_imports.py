@@ -99,6 +99,36 @@ def test_no_job_loads_dataclasses_or_inspect(job_modules, argv, loads_numpy):
     assert "inspect" not in modules or loads_numpy
 
 
+#: the argv of each job in JOBS, by its id
+JOB_ARGV = {param.id: param.values[0] for param in JOBS}
+
+
+@pytest.mark.parametrize("job", ["sweep", "plan", "plan-beam", "simulate", "report", "filter"])
+def test_a_job_reads_its_flags_without_argparse(job_modules, job):
+    # argparse, with the gettext and locale it loads, and the parser it builds cost
+    # a job ~5 ms; the runs are the ones the tests above made
+    modules = job_modules(JOB_ARGV[job])
+    assert sorted({"argparse", "gettext", "locale"} & modules) == []
+
+
+def test_help_still_loads_argparse(job_modules):
+    # positive control: help and argument errors are argparse's own
+    assert "argparse" in job_modules(JOB_ARGV["help"])
+
+
+@pytest.mark.parametrize("job,unused", [("sweep", {"json", "numbers"}),
+                                        ("plan", {"json", "numbers"}), ("filter", {"json"})])
+def test_a_job_loads_no_stdlib_module_it_does_not_use(job_modules, job, unused):
+    # json only reads beam documents and prints simulate's report; numbers only
+    # checks what is not a plain float, and a filter order
+    assert sorted(unused & job_modules(JOB_ARGV[job])) == []
+
+
+@pytest.mark.parametrize("job", list(JOB_ARGV))
+def test_only_the_filter_job_loads_csv(job_modules, job):
+    assert ("csv" in job_modules(JOB_ARGV[job])) == (job == "filter")
+
+
 def test_every_shipped_module_is_on_a_job_path(job_modules):
     # what no job imports is test code and lives in tests/reference.py; the runs are
     # the ones the tests above made, so this starts no child process of its own
