@@ -4,7 +4,7 @@ and the matched-versus-mistimed amplitude table across carried masses."""
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from ._numpy import np
 from ._record import Record
@@ -31,12 +31,7 @@ def _amplitude(spec: MotionSpec) -> float:
     return ResidualReport(spec, *final_relative_state(spec)).amplitude
 
 
-class SweepRow(NamedTuple):
-    n: float
-    t1: float
-    residual: float
-    energy: float
-    quiescent: bool
+SweepRow = namedtuple("SweepRow", "n t1 residual energy quiescent")
 
 
 class SweepResult(Record):
@@ -113,15 +108,11 @@ def suppression_ratio(matched: ResidualReport, unmatched: ResidualReport) -> flo
     return unmatched.amplitude / max(matched.amplitude, matched.tolerance)
 
 
-class AmplitudeTable(NamedTuple):
+class AmplitudeTable(namedtuple("AmplitudeTable", "masses frequencies matched_n unmatched_n "
+                                                  "matched unmatched")):
     """Matched versus mistimed residual amplitudes across carried masses."""
 
-    masses: tuple[float, ...]
-    frequencies: tuple[float, ...]
-    matched_n: float
-    unmatched_n: float
-    matched: tuple[float, ...]
-    unmatched: tuple[float, ...]
+    __slots__ = ()
 
     caption = ("noise-free simulation; matched moves end quiescent by construction. "
                "Bench measurements (sensor noise, drive ripple) are not reproduced here.")

@@ -14,8 +14,8 @@ only for the rest (help and argument errors), so its texts are the ones shown.
 from __future__ import annotations
 
 import sys
+from collections import namedtuple
 from types import SimpleNamespace
-from typing import NamedTuple
 
 from .analysis import _carried_masses, amplitude_table, sweep_n
 from .beam import load_beam
@@ -135,15 +135,10 @@ def float_list(text: str) -> list[float]:
     return [float(item) for item in text.split(",") if item.strip()]
 
 
-class _Flag(NamedTuple):
-    """One flag of a subcommand: where its value goes and how it is read."""
-
-    dest: str
-    type: object = None  # None: the value is kept as written
-    default: object = None
-    required: bool = False
-    store_true: bool = False  # a bare flag, True when given
-    help: str = ""
+#: one flag of a subcommand: where its value goes (dest) and how it is read; a type
+#: of None keeps the value as written, and a store_true flag is True when given
+_Flag = namedtuple("_Flag", "dest type default required store_true help",
+                   defaults=(None, None, False, False, ""))
 
 
 _PAYLOAD = {

@@ -10,7 +10,7 @@ phase shift: waveform features stay where they happened.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from ._numpy import np
 from ._record import Record
@@ -31,14 +31,10 @@ ERROR_BOUND = 1e-10
 MIN_CUTOFF_RATIO = 4e-4
 
 
-class Biquad(NamedTuple):
+class Biquad(namedtuple("Biquad", "b0 b1 b2 a1 a2")):
     """One second-order section, denominator normalised to a0 = 1."""
 
-    b0: float
-    b1: float
-    b2: float
-    a1: float
-    a2: float
+    __slots__ = ()
 
     def is_stable(self) -> bool:
         # Schur triangle: both poles strictly inside the unit circle.

@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left
+from collections import namedtuple
 from itertools import islice
-from typing import NamedTuple
 
 from ._numpy import np
 from ._record import Record
@@ -82,13 +82,13 @@ def final_relative_state(spec: MotionSpec) -> tuple[float, float]:
 
 
 class OscillatorTrace(Record):
-    """Oscillator states on a uniform time grid, in ``array('d')``."""
+    """Oscillator states on a uniform time grid, in ``array('d')``; ``a`` as integrate forms it."""
 
-    _fields = ("t", "x", "v")
+    _fields = ("t", "x", "v", "a")
     __eq__, __hash__ = object.__eq__, object.__hash__  # holds arrays: equal only to itself
 
-    def __init__(self, t: array, x: array, v: array) -> None:
-        self._set(t=t, x=x, v=v)
+    def __init__(self, t: array, x: array, v: array, a: array) -> None:
+        self._set(t=t, x=x, v=v, a=a)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -120,13 +120,14 @@ def integrate(forcing, k: float, t_end: float, step: float,
     # can be formed once without changing a bit
     nksq, half = -k * k, 0.5 * h
     x, v = float(initial_state[0]), float(initial_state[1])
-    xs, vs = array("d", [x]), array("d", [v])
+    xs, vs, accs = array("d", [x]), array("d", [v]), array("d")
     u0 = forcing(times[0])
     for a, b in zip(times, islice(times, 1, None)):
         um = forcing(0.5 * (a + b))
         u1 = forcing(b)
         k1x = v
         k1v = nksq * x - u0
+        accs.append(k1v)
         k2x = v + half * k1v
         k2v = nksq * (x + half * k1x) - um
         k3x = v + half * k2v
@@ -141,7 +142,8 @@ def integrate(forcing, k: float, t_end: float, step: float,
     if not (math.isfinite(x) and math.isfinite(v)):  # no step turns inf or nan finite again
         raise ValueError("RK4 state leaves the float range: check k, the initial state "
                          "and the forcing")
-    return OscillatorTrace(t=times, x=xs, v=vs)
+    accs.append(nksq * x - u0)
+    return OscillatorTrace(t=times, x=xs, v=vs, a=accs)
 
 
 def simulate_relative(spec: MotionSpec, step: float | None = None) -> OscillatorTrace:
@@ -152,12 +154,11 @@ def simulate_relative(spec: MotionSpec, step: float | None = None) -> Oscillator
                      spec.t1 / DEFAULT_RK4_STEPS if step is None else step)
 
 
-class ResidualReport(NamedTuple):
-    """End-of-move quiescence summary: the state at t1, with the verdict derived from it."""
+class ResidualReport(namedtuple("ResidualReport", "spec x_end v_end")):
+    """End-of-move quiescence summary: the relative displacement x_end [m] and velocity
+    v_end [m/s] at t1, with the verdict derived from them."""
 
-    spec: MotionSpec
-    x_end: float       # relative displacement at t1 [m]
-    v_end: float       # relative velocity at t1 [m/s]
+    __slots__ = ()
 
     @property
     def amplitude(self) -> float:
@@ -238,13 +239,7 @@ def action_value(spec: MotionSpec, position_fn=None, velocity_fn=None,
 
 
 def write_relative_trace(path, spec: MotionSpec, trace: OscillatorTrace) -> None:
-    """CSV of an integrated relative motion with header t,x_r,v_r,a_r.
-
-    The a_r column is -k*k * x_r - u(t), with the stiffness formed as integrate
-    forms it and u evaluated as in simulate_relative.
-    """
-    t1, nksq, p, law = spec.t1, -spec.k * spec.k, spec.p, spec._laws(math)[2]
-    if trace.t[0] < -1e-12 * t1 or trace.t[-1] > t1 + 1e-12 * t1:
-        raise ValueError(f"time outside the motion interval [0, {t1:.12g}] s")
-    a = array("d", (nksq * x - law(p * t) for t, x in zip(trace.t, trace.x)))
-    write_csv(path, ("t", "x_r", "v_r", "a_r"), (trace.t, trace.x, trace.v, a))
+    """CSV of an integrated relative motion of the spec's move, headed t,x_r,v_r,a_r."""
+    if trace.t[0] < -1e-12 * spec.t1 or trace.t[-1] > spec.t1 + 1e-12 * spec.t1:
+        raise ValueError(f"time outside the motion interval [0, {spec.t1:.12g}] s")
+    write_csv(path, ("t", "x_r", "v_r", "a_r"), (trace.t, trace.x, trace.v, trace.a))

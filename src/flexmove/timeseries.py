@@ -222,39 +222,34 @@ def _format_float64(table):
 def write_csv(path, header, columns) -> None:
     """Write equal-length numeric columns under a comma-separated header.
 
-    The bytes are those of ``np.savetxt`` with a ``%.12g`` cell format, written
-    _WRITE_ROWS rows at a time by one of two routes:
+    The bytes are those of ``np.savetxt`` with a ``%.12g`` cell format.  Each
+    column is checked once, by _column, before the file is opened, so that a column
+    that fails leaves no file behind.  Rows go _WRITE_ROWS at a time by one route:
 
-    - Columns that are all lists, tuples or ``array.array`` (what ``plan``,
-      ``simulate``, ``sweep`` and ``report`` write) go through the template: their
-      Python numbers are formatted by one ``%`` string operation per block, and
-      numpy is never touched.
-    - Any other columns are read a block at a time as one array, by
-      ``np.asarray(column[block])``, converted to float64, and go through a numpy
+    - Columns that are all ``array('d')`` (what ``plan``, ``simulate``, ``sweep``
+      and ``report`` write) go through the template: one ``%`` string operation
+      per block, and numpy is never touched.
+    - Any other columns go a block at a time, as one float64 table, through a numpy
       formatter.  For a cell v with |v| in [1e-4, 1e12) it takes e from log10 and
-      m = |v| * 10**(11 - e), whose power of ten is exact, so m is rounded once.
-      It writes the 12 digits of rint(m) only under a certificate: 1e11 <= m <
-      1e12 - 1/2, and the fraction of m further than _TIE_MARGIN from 1/2, so the
-      exact product rounds to the same integer, the digits the template's
-      correctly rounded conversion gives.  Every other cell (exponent notation,
-      zeros, a near tie) goes to the template, and a block where most cells would
-      goes through the template whole.  A column that is not 1-D, or complex,
-      raises a ValueError before any row is written, and a numpy array column
-      before the file is opened, so that an existing file keeps its bytes.
+      m = |v| * 10**(11 - e), whose power of ten is exact, so m is rounded once.  It
+      writes the 12 digits of rint(m) only under a certificate: 1e11 <= m < 1e12 -
+      1/2, and the fraction of m further than _TIE_MARGIN from 1/2, so the exact
+      product rounds to the same integer, the digits the template's correctly
+      rounded conversion gives.  Every other cell (exponent notation, zeros, a near
+      tie) goes to the template, and a block where most cells would goes through
+      the template whole.
 
     A header cell holding a comma, a quote or a line break is quoted as the csv
     module quotes it, so that read_numeric_csv reads the header back.
     """
+    columns = [_column(column) for column in columns]
     lengths = [len(column) for column in columns]
     if len(set(lengths)) != 1:
         raise ValueError(f"need one or more columns of equal length, got lengths {lengths}")
     row = b",".join([_CELL] * len(columns)) + b"\n"
     names = ['"' + name.replace('"', '""') + '"' if any(c in name for c in ',"\r\n') else name
              for name in header]
-    template = all(isinstance(column, (list, tuple, array)) for column in columns)
-    if not template and any(isinstance(column, np.ndarray) and (
-            column.ndim != 1 or column.dtype.kind == "c") for column in columns):
-        raise ValueError("each column must be one-dimensional and real")
+    template = all(isinstance(column, array) for column in columns)
     flat = chain.from_iterable(zip(*columns))
     with open(path, "wb") as fh:
         fh.write((",".join(names) + "\n").encode("utf-8"))
@@ -262,16 +257,24 @@ def write_csv(path, header, columns) -> None:
             if template:
                 cells = tuple(islice(flat, _WRITE_ROWS * len(columns)))
             else:
-                table = np.stack([np.asarray(column[start:start + _WRITE_ROWS])
-                                  for column in columns], axis=1)
-                if table.ndim != 2 or table.dtype.kind == "c":
-                    raise ValueError("each column must be one-dimensional and real")
-                table = table.astype(float, copy=False)
+                table = np.stack([column[start:start + _WRITE_ROWS] for column in columns],
+                                 axis=1).astype(float, copy=False)
                 if (text := _format_float64(table)) is not None:
                     fh.write(text)
                     continue
                 cells = tuple(table.ravel().tolist())
             fh.write(row * (len(cells) // len(columns)) % cells)
+
+
+def _column(column):
+    """A column as write_csv writes it: a list, tuple or array.array as array('d'); else a
+    1-D real numpy array, as float64 unless of a kind (bool, int, float) sure to convert."""
+    if isinstance(column, (list, tuple, array)):
+        return column if getattr(column, "typecode", "") == "d" else array("d", column)
+    column = np.asarray(column)
+    if column.ndim != 1 or column.dtype.kind == "c":
+        raise ValueError("each column must be one-dimensional and real")
+    return column if column.dtype.kind in "biuf" else column.astype(float)
 
 
 def read_numeric_csv(path, n_columns: int | None = None):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -134,6 +135,16 @@ class TestBeamSpec:
     def test_extended_float_beyond_the_float_range_rejected(self):
         with pytest.raises(ValueError, match="^k must be a positive finite number"):
             positive_finite("k", np.longdouble("1e400"))
+
+    @pytest.mark.parametrize("fields,frequency", [
+        (dict(m_tip=1e-320), "inf"), (dict(E=1e308), "inf"), (dict(l=1e100, m_tip=1e300), "0.0")])
+    def test_a_frequency_outside_the_float_range_rejected(self, fields, frequency):
+        # each field is a positive finite float, but stiffness / m_tip is not
+        params = dict(BENCH_BEAM, **fields)
+        with pytest.raises(ValueError, match=re.escape(
+                f"the beam with tip mass m_tip = {params['m_tip']!r} kg has a natural "
+                f"frequency outside the float range: {frequency} rad/s")):
+            BeamSpec(**params)
 
     @pytest.mark.parametrize("field", ["l", "b", "E", "m_tip"])
     def test_bools_rejected(self, field):

@@ -561,6 +561,28 @@ class TestMalformedInput:
         assert one_error_line(code, stderr), stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("job", ["report", "plan"])
+    @pytest.mark.parametrize("fields", [dict(m_tip=1e-320), dict(E=1e308),
+                                        dict(l=1e100, m_tip=1e300)],
+                             ids=["light-tip", "stiff-strip", "long-strip-heavy-tip"])
+    def test_a_tip_frequency_outside_the_float_range_names_the_tip_mass(
+            self, tmp_path, capsys, job, fields):
+        # sqrt(stiffness / m_tip) overflows to inf or underflows to 0; the error names
+        # the beam and its tip mass, not a k that neither job was given
+        beam = tmp_path / "beam.json"
+        beam.write_text(json.dumps(dict(BENCH_BEAM, **fields)))
+        mass, out = repr(fields.get("m_tip", BENCH_BEAM["m_tip"])), tmp_path / "out.csv"
+        argv = {
+            "report": ("report", "--beam", str(beam), "--masses", mass, "--L", "0.41",
+                       "--out", str(out)),
+            "plan": ("plan", "--L", "0.41", "--beam", str(beam), "--mass", mass, "--n", "2",
+                     "--out", str(out)),
+        }[job]
+        code, stdout, stderr = run(capsys, *argv)
+        assert one_error_line(code, stderr), stderr
+        assert f"tip mass m_tip = {mass} kg" in stderr and "k must" not in stderr
+        assert stdout == "" and not out.exists()
+
     @pytest.mark.parametrize("source", [("--beam",)])
     def test_deeply_nested_json(self, tmp_path, capsys, source):
         doc = tmp_path / "deep.json"

@@ -509,7 +509,8 @@ def test_the_motion_interval_is_widened_by_1e_12_t1(bench_spec, tmp_path, outsid
     t1 = bench_spec.t1
     for t in (-outside * t1, t1 + outside * t1):
         grid = array("d", sorted([0.5 * t1, t]))
-        trace = OscillatorTrace(grid, array("d", [0.0, 0.0]), array("d", [0.0, 0.0]))
+        zeros = array("d", [0.0, 0.0])
+        trace = OscillatorTrace(grid, zeros, zeros, zeros)
         calls = [lambda: relative_motion(bench_spec, t),
                  lambda: relative_motion(bench_spec, np.array([0.5 * t1, t])),
                  lambda: write_relative_trace(tmp_path / "relative.csv", bench_spec, trace)]
@@ -521,20 +522,36 @@ def test_the_motion_interval_is_widened_by_1e_12_t1(bench_spec, tmp_path, outsid
                     call()
 
 
+@pytest.mark.parametrize("law", ["spec", "other"])
+def test_the_acceleration_column_is_the_one_rk4_formed(law):
+    # at each node, k1v of the step it starts, and at the last node the same
+    # expression on the final state; k**2 and k*k differ in the last bit here
+    k = 5.000000000000003
+    spec = MotionSpec(L=0.41, k=k, n=2, m=0.09)
+    u = spec._laws(math)[2]
+    forcing = {"spec": lambda t: u(spec.p * t), "other": lambda t: 0.25 - math.cos(3.0 * t)}[law]
+    trace = integrate(forcing, k, spec.t1, spec.t1 / 500, initial_state=(1e-3, -2e-3))
+    assert len(trace.a) == len(trace.t) and trace.a.typecode == "d"
+    assert list(trace.a) == [-k * k * x - forcing(t) for t, x in zip(trace.t, trace.x)]
+
+
 def test_relative_trace_uses_the_integrators_stiffness(monkeypatch):
     # k**2 and k*k differ in the last bit here; the 12-digit CSV would hide it,
-    # so the columns are caught on their way to write_csv
+    # so the columns are caught on their way to write_csv.  The a_r column is the
+    # one integrate formed: writing it evaluates no motion law
     k = 5.000000000000003
     assert k**2 != k * k
     spec = MotionSpec(L=0.41, k=k, n=2, m=0.09)
     trace = simulate_relative(spec, step=spec.t1 / 2000)
+    u = spec._laws(math)[2]
     written = {}
     monkeypatch.setattr(oscillator, "write_csv",
                         lambda path, header, columns: written.update(columns=columns))
+    monkeypatch.setattr(MotionSpec, "_laws", lambda self, lib: pytest.fail("a law was evaluated"))
     write_relative_trace("unused.csv", spec, trace)
-    u = spec._laws(math)[2]
     expected = [-k * k * x - u(spec.p * t) for t, x in zip(trace.t, trace.x)]
     assert list(written["columns"][3]) == expected
+    assert written["columns"] == (trace.t, trace.x, trace.v, trace.a)
 
 
 def test_relative_trace_csv(bench_spec, tmp_path):

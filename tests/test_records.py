@@ -30,7 +30,7 @@ CASES = [
     Case(MotionSpec, ("L", "k", "n", "m", "exploratory"), (0.41, 5.78, 2.0, 0.09, True),
          {"exploratory": False}, (0.41, 5.78, 2.5, 0.09, True)),
     Case(SetpointTable, ("t", "s", "v", "a"), (T, X, V, array("d", [0.0, 4.0])), {}, None),
-    Case(OscillatorTrace, ("t", "x", "v"), (T, X, V), {}, None),
+    Case(OscillatorTrace, ("t", "x", "v", "a"), (T, X, V, array("d", [0.0, 4.0])), {}, None),
     Case(ResidualReport, ("spec", "x_end", "v_end"), (SPEC, 1e-9, -2e-9), {},
          (SPEC, 1e-9, -3e-9)),
     Case(TimeSeries, ("t", "values", "label"), (TIMES, SAMPLES, "a_tip"), {"label": "value"},

@@ -91,6 +91,23 @@ def test_tip_trace_keeps_its_rate_through_the_csv(tmp_path, rate):
         assert drift <= 1e-11
 
 
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(rate=st.floats(0.0, 6.0).map(lambda exponent: 10.0 ** exponent),
+       length=st.floats(math.log10(2.0), math.log10(2e5)).map(lambda e: round(10.0 ** e)))
+@example(rate=1.0, length=2)
+@example(rate=1e6, length=200_000)
+@example(rate=997.0, length=200_000)
+def test_a_reloaded_rate_drifts_by_at_most_the_stated_bound(tmp_path_factory, rate, length):
+    # README: a reloaded trace's rate moves by at most 1e-11 * t_end * rate relative,
+    # from 1 Hz to 1 MHz and for any length
+    t = np.arange(length) / rate
+    series = TimeSeries(t, np.ones(length), "a_tip")
+    path = tmp_path_factory.mktemp("trace") / "tip.csv"
+    save_trace(path, series)
+    drift = abs(load_trace(path).rate / series.rate - 1.0)
+    assert drift <= 1e-11 * t[-1] * rate
+
+
 class TestCsvRoundTrip:
     def test_two_row_file(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -337,6 +354,42 @@ def test_write_csv_rejects_a_column_that_is_not_1d_and_real(tmp_path, columns):
         with pytest.raises(ValueError, match="each column must be one-dimensional and real"):
             write_csv(target, [f"c{i}" for i in range(len(columns))], columns)
     assert not path.exists() and kept.read_bytes() == b"t\n0\n"
+
+
+#: a column with one cell that is not a real number, in the first block or after it
+LATE = BLOCK + 452
+
+
+@pytest.mark.parametrize("columns", [
+    [np.array(["1.5", "x"])],
+    [np.array(["0.5"] * LATE + ["x"])],
+    [np.array([0.5] * LATE + ["x"], dtype=object), np.zeros(LATE + 1)],
+    [[0.5] * LATE + ["x"]],
+    [tuple(range(LATE)) + (None,), array("d", range(LATE + 1))],
+    [[0.5] * LATE + [1j], np.zeros(LATE + 1)],
+], ids=["strings", "strings-late", "objects-late", "list-late", "tuple-late", "list-and-array"])
+def test_a_cell_that_fails_its_conversion_leaves_no_file(tmp_path, columns):
+    # every column is converted before the file is opened: no file is made, an
+    # existing one keeps its bytes, and no block of rows is left behind
+    path, kept = tmp_path / "table.csv", tmp_path / "kept.csv"
+    kept.write_bytes(b"t\n0\n")
+    for target in (path, kept):
+        with pytest.raises((TypeError, ValueError)):
+            write_csv(target, [f"c{i}" for i in range(len(columns))], columns)
+    assert not path.exists() and kept.read_bytes() == b"t\n0\n"
+
+
+def test_numeric_array_columns_are_not_copied_whole():
+    # a bool, integer or float column stays a view, converted a block at a time, so
+    # that a large column is held once; any other kind is converted once, up front
+    for dtype in ("?", "i4", "u8", ">f8", "f2"):
+        column = np.zeros(5, dtype)
+        assert timeseries._column(column) is column
+    for column in (np.array(["1.5"]), np.array([1.5], dtype=object), np.array([1], "m8[s]")):
+        assert timeseries._column(column).dtype == np.float64
+    same = array("d", [1.5])
+    assert timeseries._column(same) is same
+    assert timeseries._column((1, True)) == array("d", [1.0, 1.0])
 
 
 def test_save_trace_with_big_endian_t(tmp_path):
