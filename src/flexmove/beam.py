@@ -44,9 +44,12 @@ class BeamSpec(Record):
             raise ValueError("thickness h must not exceed width b for a thin strip")
         self._set(l=l, b=b, h=h, E=E, m_tip=m_tip)
         try:
-            frequency = self.frequency
+            stiffness = self.stiffness
         except ArithmeticError:  # l**3 or h**3 overflows, or l**3 underflows to zero
-            raise ValueError("beam dimensions put the stiffness outside the float range") from None
+            stiffness = math.inf
+        if not 0.0 < stiffness < math.inf:  # float * and / overflow to inf where ** raises
+            raise ValueError("beam dimensions put the stiffness outside the float range")
+        frequency = self.frequency
         if not 0.0 < frequency <= sys.float_info.max:  # stiffness / m_tip over- or underflows
             raise ValueError(f"the beam with tip mass m_tip = {m_tip!r} kg has a natural "
                              f"frequency outside the float range: {frequency!r} rad/s")

@@ -147,23 +147,24 @@ def _block_model(sections: tuple[Biquad, ...]):
     return np.concatenate((toeplitz, to_state), axis=1), np.array(step), np.array(free)
 
 
-def _cascade(model, y: np.ndarray) -> None:
-    # Filter y in place, blocks of n samples at a time (Burrus 1972).  The deviation
-    # from the first sample is filtered: with unit DC gain the zero state is then
-    # the exact steady state for the leading value, so constant signals pass
-    # through bit exact and start-up transients stay small.  A block's output is
-    # its zero-state response plus the free response to the state it starts from;
-    # that state is carried on one step per block, in order.  Every product is an
-    # einsum without path optimisation, numpy's own loop and never BLAS, whose
-    # kernels round differently from one CPU to the next.  A nan or inf reaches
-    # the earlier samples of its block too (0 * inf), and the rest of the signal
-    # through the state, so the caller sees it.
+def _cascade(model, blocks: np.ndarray, size: int) -> None:
+    # Filter the first size cells of blocks, rows of n samples, in place (Burrus
+    # 1972); the slack cells after them are zeroed, so every block is full.  The
+    # deviation from the first sample is filtered: with unit DC gain the zero state
+    # is then the exact steady state for the leading value, so constant signals
+    # pass through bit exact and start-up transients stay small.  A block's output
+    # is its zero-state response plus the free response to the state it starts
+    # from; that state is carried on one step per block, in order.  Every product
+    # is an einsum without path optimisation, numpy's own loop and never BLAS,
+    # whose kernels round differently from one CPU to the next.  A nan or inf
+    # reaches the earlier samples of its block too (0 * inf), and the rest of the
+    # signal through the state, so the caller sees it.
     matrix, step, free = model
     n = len(matrix)
+    y = blocks.reshape(-1)  # a view: blocks is contiguous
     offset = y[0]
-    y -= offset
-    count = len(y) // n
-    blocks = y[:count * n].reshape(count, n)  # a view, also of a reversed buffer
+    y[:size] -= offset
+    y[size:] = 0.0
     product = np.einsum("bj,ji->bi", blocks, matrix, optimize=False)
     zero_state, ends = product[:, :n], product[:, n:]
     for prev, end in zip(ends, ends[1:]):
@@ -171,13 +172,7 @@ def _cascade(model, y: np.ndarray) -> None:
     np.einsum("bs,si->bi", ends[:-1], free, out=blocks[1:], optimize=False)
     blocks[1:] += zero_state[1:]
     blocks[:1] = zero_state[:1]
-    rest = len(y) - count * n
-    if rest:
-        tail = np.einsum("j,ji->i", y[count * n:], matrix[:rest, :rest], optimize=False)
-        if count:
-            tail += np.einsum("s,si->i", ends[-1], free[:, :rest], optimize=False)
-        y[count * n:] = tail
-    y += offset
+    y[:size] += offset
 
 
 def filtfilt(design: FilterDesign, series: TimeSeries) -> TimeSeries:
@@ -198,12 +193,16 @@ def filtfilt(design: FilterDesign, series: TimeSeries) -> TimeSeries:
     pad = PAD_FACTOR * design.order
     if len(x) <= pad:
         raise ValueError(f"series too short to filter: need more than {pad} samples, got {len(x)}")
+    size = len(x) + 2 * pad
+    blocks = np.empty((-(-size // BLOCK), BLOCK))
+    y = blocks.reshape(-1)[:size]
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        y = np.concatenate((2.0 * x[0] - x[pad:0:-1], x, 2.0 * x[-1] - x[-2:-pad - 2:-1]))
+        np.concatenate((2.0 * x[0] - x[pad:0:-1], x, 2.0 * x[-1] - x[-2:-pad - 2:-1]), out=y)
         model = _block_model(design.sections)
-        _cascade(model, y)
-        _cascade(model, y[::-1])
-    values = y[pad:-pad]
+        _cascade(model, blocks, size)
+        y[:] = y[::-1]  # the backward pass runs forward over the reversed signal
+        _cascade(model, blocks, size)
+    values = y[::-1][pad:-pad]
     if not np.isfinite(values).all():  # a TimeSeries is finite, so this is an overflow
         raise ValueError(f"filtering overflows the float range: the values reach "
                          f"{float(np.max(np.abs(x))):.6g}; scale them down")

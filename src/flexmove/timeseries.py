@@ -7,7 +7,7 @@ import os
 import stat
 from array import array
 from functools import cache, partial
-from itertools import chain, islice
+from itertools import chain, count, islice
 
 from ._numpy import np
 from ._record import Record
@@ -241,8 +241,16 @@ def write_csv(path, header, columns) -> None:
 
     A header cell holding a comma, a quote or a line break is quoted as the csv
     module quotes it, so that read_numeric_csv reads the header back.
+
+    A regular or absent destination is written under a new name beside it, see
+    _sibling, and moved onto it by os.replace after the last row: a write that
+    fails (a full disk, a file size limit) leaves the old file, or none, and no
+    temporary file.  A pipe, a device or a symlink is written in place.
     """
-    columns = [_column(column) for column in columns]
+    if len(header) != len(columns):
+        raise ValueError(f"need one header name per column, got {len(header)} names "
+                         f"for {len(columns)} columns")
+    columns = [_column(name, column) for name, column in zip(header, columns)]
     lengths = [len(column) for column in columns]
     if len(set(lengths)) != 1:
         raise ValueError(f"need one or more columns of equal length, got lengths {lengths}")
@@ -251,26 +259,73 @@ def write_csv(path, header, columns) -> None:
              for name in header]
     template = all(isinstance(column, array) for column in columns)
     flat = chain.from_iterable(zip(*columns))
-    with open(path, "wb") as fh:
-        fh.write((",".join(names) + "\n").encode("utf-8"))
-        for start in range(0, lengths[0], _WRITE_ROWS):
-            if template:
-                cells = tuple(islice(flat, _WRITE_ROWS * len(columns)))
-            else:
-                table = np.stack([column[start:start + _WRITE_ROWS] for column in columns],
-                                 axis=1).astype(float, copy=False)
-                if (text := _format_float64(table)) is not None:
-                    fh.write(text)
-                    continue
-                cells = tuple(table.ravel().tolist())
-            fh.write(row * (len(cells) // len(columns)) % cells)
+    fd, temporary = _sibling(path)
+    try:
+        with open(path if fd is None else fd, "wb") as fh:
+            fh.write((",".join(names) + "\n").encode("utf-8"))
+            for start in range(0, lengths[0], _WRITE_ROWS):
+                if template:
+                    cells = tuple(islice(flat, _WRITE_ROWS * len(columns)))
+                else:
+                    table = np.stack([column[start:start + _WRITE_ROWS] for column in columns],
+                                     axis=1).astype(float, copy=False)
+                    if (text := _format_float64(table)) is not None:
+                        fh.write(text)
+                        continue
+                    cells = tuple(table.ravel().tolist())
+                fh.write(row * (len(cells) // len(columns)) % cells)
+        if temporary is not None:
+            os.replace(temporary, path)
+    except BaseException:
+        if temporary is not None:
+            os.unlink(temporary)
+        raise
 
 
-def _column(column):
+def _sibling(path):
+    """For a regular or absent path, the descriptor and the name of a new file in its
+    directory that write_csv writes in its place, with the mode open(path, "wb")
+    would give: the old file's, or 0o666 less the umask.  (None, None) for a pipe, a
+    device or a symlink, which are written in place.  tempfile is not used: it
+    would load random and shutil in every job."""
+    try:
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        return None, None
+    head, name = os.path.split(os.fsdecode(path))
+    for attempt in count():
+        temporary = os.path.join(head, f".{name}.{os.getpid()}-{attempt}.tmp")
+        try:
+            fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+        except OSError as exc:  # a missing directory, say: name the output, not this file
+            raise OSError(exc.errno, exc.strerror, path) from None
+    if mode is not None:
+        try:
+            os.fchmod(fd, stat.S_IMODE(mode))
+        except BaseException:
+            os.close(fd)
+            os.unlink(temporary)
+            raise
+    return fd, temporary
+
+
+def _column(name, column):
     """A column as write_csv writes it: a list, tuple or array.array as array('d'); else a
-    1-D real numpy array, as float64 unless of a kind (bool, int, float) sure to convert."""
+    1-D real numpy array, as float64 unless of a kind (bool, int, float) sure to convert.
+    A cell that is not a real number raises ValueError, naming the column."""
     if isinstance(column, (list, tuple, array)):
-        return column if getattr(column, "typecode", "") == "d" else array("d", column)
+        if getattr(column, "typecode", "") == "d":
+            return column
+        try:
+            return array("d", column)
+        except TypeError as exc:
+            raise ValueError(f"column {name!r} holds a cell that is not a real number: "
+                             f"{exc}") from None
     column = np.asarray(column)
     if column.ndim != 1 or column.dtype.kind == "c":
         raise ValueError("each column must be one-dimensional and real")

@@ -136,8 +136,18 @@ class TestBeamSpec:
         with pytest.raises(ValueError, match="^k must be a positive finite number"):
             positive_finite("k", np.longdouble("1e400"))
 
+    @pytest.mark.parametrize("fields", [dict(l=1e-200), dict(l=1e200), dict(E=1e308),
+                                        dict(b=1.0, h=1e-110)],
+                             ids=["l**3-underflow", "l**3-overflow", "3*E-overflow", "h**3-underflow"])
+    def test_a_stiffness_outside_the_float_range_rejected(self, fields):
+        # ** raises on overflow, float * and / return inf, and h**3 underflows to 0.0
+        # quietly: each is the beam's dimensions, whatever the tip mass
+        with pytest.raises(ValueError, match="^beam dimensions put the stiffness outside "
+                                             "the float range$"):
+            BeamSpec(**dict(BENCH_BEAM, **fields))
+
     @pytest.mark.parametrize("fields,frequency", [
-        (dict(m_tip=1e-320), "inf"), (dict(E=1e308), "inf"), (dict(l=1e100, m_tip=1e300), "0.0")])
+        (dict(m_tip=1e-320), "inf"), (dict(l=1e100, m_tip=1e300), "0.0")])
     def test_a_frequency_outside_the_float_range_rejected(self, fields, frequency):
         # each field is a positive finite float, but stiffness / m_tip is not
         params = dict(BENCH_BEAM, **fields)

@@ -349,6 +349,35 @@ def test_filter_job_memory_stays_bounded(tmp_path):
     assert peaks[big] - peaks[small] < big.stat().st_size / 2 / 2 ** 20, peaks
 
 
+def cut_at(limit):
+    """A preexec_fn that limits the files the child writes to limit bytes and
+    ignores SIGXFSZ, so that a write past the limit raises EFBIG.  The modules are
+    imported here, not between fork and exec."""
+    import resource
+    import signal
+
+    def preexec():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    return preexec
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs RLIMIT_FSIZE and SIGXFSZ")
+def test_a_write_cut_by_the_file_size_limit_leaves_the_old_file(tmp_path, capsys):
+    # the rows go to a temporary file beside the output, which replaces the output
+    # only once it is whole: EFBIG leaves the old bytes and no temporary file
+    keep = tmp_path / "keep.csv"
+    assert run(capsys, "plan", *MOVE, "--out", str(keep))[0] == 0
+    before = keep.read_bytes()
+    proc = subprocess.run([sys.executable, "-m", "flexmove", "plan", *MOVE, "--rate", "4000",
+                           "--out", str(keep)], capture_output=True, text=True,
+                          env=child_env(), timeout=60, preexec_fn=cut_at(100 * 1024))
+    assert proc.returncode == 1 and proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith("error: [Errno 27] File too large")
+    assert keep.read_bytes() == before
+    assert [path.name for path in tmp_path.iterdir()] == ["keep.csv"]
+
+
 class TestReport:
     def test_prints_table(self, capsys, beam_json, tmp_path):
         out = tmp_path / "table.csv"
@@ -562,13 +591,16 @@ class TestMalformedInput:
         assert not out.exists()
 
     @pytest.mark.parametrize("job", ["report", "plan"])
-    @pytest.mark.parametrize("fields", [dict(m_tip=1e-320), dict(E=1e308),
-                                        dict(l=1e100, m_tip=1e300)],
-                             ids=["light-tip", "stiff-strip", "long-strip-heavy-tip"])
-    def test_a_tip_frequency_outside_the_float_range_names_the_tip_mass(
-            self, tmp_path, capsys, job, fields):
-        # sqrt(stiffness / m_tip) overflows to inf or underflows to 0; the error names
-        # the beam and its tip mass, not a k that neither job was given
+    @pytest.mark.parametrize("fields,message", [
+        (dict(m_tip=1e-320), "tip mass m_tip = 1e-320 kg"),
+        (dict(E=1e308), "error: beam dimensions put the stiffness outside the float range\n"),
+        (dict(l=1e100, m_tip=1e300), "tip mass m_tip = 1e+300 kg"),
+    ], ids=["light-tip", "stiff-strip", "long-strip-heavy-tip"])
+    def test_a_beam_outside_the_float_range_names_its_fault(
+            self, tmp_path, capsys, job, fields, message):
+        # sqrt(stiffness / m_tip) overflows to inf or underflows to 0, and the error
+        # names the tip mass; 3*E overflows to inf, and the error names the beam's
+        # dimensions.  Neither names a k that neither job was given
         beam = tmp_path / "beam.json"
         beam.write_text(json.dumps(dict(BENCH_BEAM, **fields)))
         mass, out = repr(fields.get("m_tip", BENCH_BEAM["m_tip"])), tmp_path / "out.csv"
@@ -580,7 +612,7 @@ class TestMalformedInput:
         }[job]
         code, stdout, stderr = run(capsys, *argv)
         assert one_error_line(code, stderr), stderr
-        assert f"tip mass m_tip = {mass} kg" in stderr and "k must" not in stderr
+        assert message in stderr and "k must" not in stderr
         assert stdout == "" and not out.exists()
 
     @pytest.mark.parametrize("source", [("--beam",)])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import re
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 from conftest import BENCH, child_env
 from flexmove import FilterDesign, TimeSeries, design_butterworth, filtfilt
 from flexmove import filters, timeseries
-from flexmove.filters import ALLOWED_ORDERS, ERROR_BOUND, MIN_CUTOFF_RATIO, _block_model, _cascade
+from flexmove.filters import (ALLOWED_ORDERS, BLOCK, ERROR_BOUND, MIN_CUTOFF_RATIO, PAD_FACTOR,
+                              _block_model, _cascade)
 from reference import LONGDOUBLE, magnitude_response, precise_cascade, precise_filtfilt
 
 RATE = 1500.0
@@ -206,12 +208,14 @@ def test_section_bits(key):
     assert found == SECTION_BITS[key]
 
 
-def cascaded_in_place(design, x, reverse=False):
-    """_cascade run on a copy of x, through a negative-stride view when reverse."""
-    buf = np.array(x[::-1] if reverse else x)
-    view = buf[::-1] if reverse else buf
-    _cascade(_block_model(design.sections), view)
-    return view
+def cascaded_in_place(design, x):
+    """_cascade run on x copied into a buffer of whole blocks, as filtfilt runs it; the
+    slack after x starts as nan, which reaches every cell of its block unless zeroed."""
+    blocks = np.full((-(-len(x) // BLOCK), BLOCK), np.nan)
+    y = blocks.reshape(-1)[:len(x)]
+    y[:] = x
+    _cascade(_block_model(design.sections), blocks, len(x))
+    return y
 
 
 def within_bound(found, reference, x):
@@ -228,9 +232,8 @@ def test_cascade_keeps_within_the_bound_of_the_precise_loop(order, cutoff, x):
     # reaches the earlier samples of its block as well
     design = design_butterworth(order, cutoff, RATE)
     signal = np.array(x)
-    reference = precise_cascade(design.sections, signal)
-    for reverse in (False, True):  # a contiguous and a negative-stride buffer
-        assert within_bound(cascaded_in_place(design, signal, reverse), reference, signal)
+    assert within_bound(cascaded_in_place(design, signal),
+                        precise_cascade(design.sections, signal), signal)
 
 
 #: every order is held to the bound at the floor, at the bench's 20 Hz and at 0.1
@@ -252,9 +255,7 @@ def bound_trace():
 def test_every_order_keeps_within_the_bound(order, ratio):
     design = FilterDesign(order, ratio * RATE, RATE)
     x = bound_trace()
-    reference = precise_cascade(design.sections, x)
-    for reverse in (False, True):
-        assert within_bound(cascaded_in_place(design, x, reverse), reference, x)
+    assert within_bound(cascaded_in_place(design, x), precise_cascade(design.sections, x), x)
     assert within_bound(filtfilt(design, sampled(x)).values, precise_filtfilt(design, x), x)
 
 
@@ -277,6 +278,44 @@ def test_the_floor_admits_its_lowest_cutoff_and_not_one_ulp_less(order):
                f"at rate 1500.0 Hz")
     with pytest.raises(ValueError, match="^" + re.escape(message)):
         FilterDesign(order, below, RATE)
+
+
+#: sha256 of filtfilt's output bytes per order and signal length: the padded
+#: lengths 192, 193 and 255 end on a full block, one cell past one and one cell
+#: short of one; the last length is the shortest each order admits, which pads to
+#: less than a block at orders 2-6 (to 73 cells at order 8).  Computed with the
+#: filter that ran a partial last block on its own route
+EDGE_DIGESTS = {
+    2: {180: "ba296435d6d1eea3b5439c2d8924637f4396c5e9e77efbdb89c1efbfbfaeb39c",
+        181: "1d54cd1ce76d9b2e65baaf262ebd6f0ebc4f5281b1d1cda946a419167ec2e1b1",
+        243: "16f3fb056022a22277d2cc8df6d272c19308a258c363c3fad80a866237f3af9a",
+        7: "4e396e9a46a611ffa73d9f0b95126c7552316b8589a3d9496b4d9255ce917021"},
+    4: {168: "f6213ff8ed9a90147944c0ab2c2a30bf6aef0a1fa8fa87c7c689853fc5750f19",
+        169: "6946466b90ca76b84da3fc2310a484c338d87ddb710ac92c6e95f269ac07ef5e",
+        231: "c0efd31265966dae655d74c86dacd3904ecfeb766047526b7522b3779b1c8dbd",
+        13: "8a582a9f13887cb7131920e59c4057f65ecb7824176c3dda8ba5f464908b81e7"},
+    6: {156: "088e3b664d567996368bce26264c4abd77463ec61143e7e974a75273dede494b",
+        157: "825705170aff3100bc80b0bd5b120578889c668b5dc198b37bb281e8e1d8702f",
+        219: "1cfcfee00ff0ac20e2d27ba4489fc26ade7940ce573003829752008807151671",
+        19: "f0e5749a71e0b73813b03b7b1c6a1414e040867b8d6913526f0c289551e17269"},
+    8: {144: "cdf148a40d6536ab4d749af1c65d2d771c24f1b173ca983fcdf3541d25e4b1b6",
+        145: "423e916c9028e73aac2c0b3c03d6c4749240fe22e49cc4361a841c8e1e48ef3e",
+        207: "9927eae17fe5635deefe960956a3efd244f7b6c0621e27b4542f4f3651910697",
+        25: "c2c44e4fde5a07e37dc68fbc6e48c76ec2464710bc327428f69b03f18cff2165"},
+}
+
+
+@pytest.mark.parametrize("order", ALLOWED_ORDERS)
+def test_the_bits_at_block_edges_are_pinned(order):
+    pad = PAD_FACTOR * order
+    lengths = [3 * BLOCK + r - 2 * pad for r in (0, 1, BLOCK - 1)] + [pad + 1]
+    assert sorted(lengths) == sorted(EDGE_DIGESTS[order])
+    design = design_butterworth(order, 20.0, RATE)
+    for n in lengths:
+        # uniform draws and a sequential sum: no libm call decides a bit of the input
+        x = np.cumsum(np.random.default_rng(n).random(n) - 0.5)
+        found = filtfilt(design, sampled(x)).values
+        assert hashlib.sha256(found.tobytes()).hexdigest() == EDGE_DIGESTS[order][n], n
 
 
 #: sha256 of filtfilt's output bytes on the bench move's tip trace, one line per

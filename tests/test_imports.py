@@ -145,12 +145,14 @@ def test_every_shipped_module_is_on_a_job_path(job_modules):
 @pytest.mark.parametrize("job", ["plan", "sweep", "report", "simulate"])
 def test_no_job_loads_typing(tmp_path, job):
     # the records are collections.namedtuples and plain classes: typing (with re) would
-    # cost a job several ms.  The jobs run under -S, since a site hook may load typing
-    # before flexmove; none of them needs numpy or anything else from site-packages
+    # cost a job several ms, and so would tempfile, with the random and shutil it
+    # loads, for write_csv's temporary file.  The jobs run under -S, since a site hook
+    # may load these before flexmove; none of them needs numpy or anything else from
+    # site-packages
     (tmp_path / "beam.json").write_text(json.dumps(BENCH_BEAM))
     modules = imported_modules("-S", *JOB_ARGV[job], cwd=tmp_path)
     assert "flexmove.analysis" in modules and "site" not in modules
-    assert "typing" not in modules
+    assert sorted({"typing", "tempfile", "random", "shutil"} & modules) == []
 
 
 def fresh_python(code, **env):

@@ -3,6 +3,7 @@ import math
 import operator
 import os
 import re
+import stat
 import struct
 import threading
 from array import array
@@ -374,9 +375,89 @@ def test_a_cell_that_fails_its_conversion_leaves_no_file(tmp_path, columns):
     path, kept = tmp_path / "table.csv", tmp_path / "kept.csv"
     kept.write_bytes(b"t\n0\n")
     for target in (path, kept):
-        with pytest.raises((TypeError, ValueError)):
+        with pytest.raises(ValueError):
             write_csv(target, [f"c{i}" for i in range(len(columns))], columns)
     assert not path.exists() and kept.read_bytes() == b"t\n0\n"
+
+
+def test_a_column_fault_is_a_value_error_that_names_the_column(tmp_path):
+    message = "column 'v' holds a cell that is not a real number: must be real number, not str"
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        write_csv(tmp_path / "table.csv", ["t", "v"], [[0.0, 1.0], [0.5, "x"]])
+    with pytest.raises(ValueError, match="^need one header name per column, got 1 names for 2"):
+        write_csv(tmp_path / "table.csv", ["t"], [[0.0], [0.5]])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_write_that_fails_leaves_the_old_file_and_no_temporary_one(tmp_path):
+    # a failure after some blocks are out (a full disk, say) reaches the caller; the
+    # rows went to a file beside the output, which is removed
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"t\n0\n")
+    formatter = timeseries._format_float64
+    calls = []
+
+    def fail_on_the_second_block(table):
+        calls.append(len(table))
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device")
+        return formatter(table)
+
+    with mock.patch.object(timeseries, "_format_float64", fail_on_the_second_block):
+        with pytest.raises(OSError, match="No space left"):
+            write_csv(path, ["t"], [np.arange(3 * timeseries._WRITE_ROWS) / 7.0])
+    assert len(calls) == 2
+    assert path.read_bytes() == b"t\n0\n" and list(tmp_path.iterdir()) == [path]
+
+
+def test_a_missing_directory_is_named_as_the_output(tmp_path):
+    path = tmp_path / "missing" / "trace.csv"
+    with pytest.raises(FileNotFoundError, match=re.escape(repr(str(path)))):
+        write_csv(path, ["t"], [[0.0]])
+
+
+@pytest.mark.skipif(not hasattr(os, "fchmod"), reason="needs POSIX modes")
+def test_a_new_file_gets_the_umask_mode_and_a_replaced_one_keeps_its_own(tmp_path):
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    old.write_bytes(b"x\n")
+    old.chmod(0o600)
+    umask = os.umask(0o027)
+    try:
+        write_csv(new, ["t"], [[0.5]])
+        write_csv(old, ["t"], [[0.5]])
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(new.stat().st_mode) == 0o640
+    assert stat.S_IMODE(old.stat().st_mode) == 0o600
+    assert new.read_bytes() == old.read_bytes() == b"t\n0.5\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs symlinks")
+def test_a_symlink_is_written_through(tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_bytes(b"x\n")
+    link.symlink_to(target.name)
+    write_csv(link, ["t"], [[0.5]])
+    assert link.is_symlink() and target.read_bytes() == b"t\n0.5\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_pipe_is_written_in_place_as_a_stream(tmp_path):
+    # a pipe cannot be replaced by a file beside it: its reader gets the rows as
+    # they go, more than the pipe's buffer holds, and the pipe stays a pipe
+    fifo, plain = tmp_path / "trace.fifo", tmp_path / "plain.csv"
+    os.mkfifo(fifo)
+    column = np.arange(20_000) / 7.0
+    write_csv(plain, ["t"], [column])
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    write_csv(fifo, ["t"], [column])
+    reader.join(10.0)
+    assert not reader.is_alive() and got == [plain.read_bytes()]
+    assert len(got[0]) > 1 << 16 and stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["plain.csv", "trace.fifo"]
 
 
 def test_numeric_array_columns_are_not_copied_whole():
@@ -384,12 +465,12 @@ def test_numeric_array_columns_are_not_copied_whole():
     # that a large column is held once; any other kind is converted once, up front
     for dtype in ("?", "i4", "u8", ">f8", "f2"):
         column = np.zeros(5, dtype)
-        assert timeseries._column(column) is column
+        assert timeseries._column("c", column) is column
     for column in (np.array(["1.5"]), np.array([1.5], dtype=object), np.array([1], "m8[s]")):
-        assert timeseries._column(column).dtype == np.float64
+        assert timeseries._column("c", column).dtype == np.float64
     same = array("d", [1.5])
-    assert timeseries._column(same) is same
-    assert timeseries._column((1, True)) == array("d", [1.0, 1.0])
+    assert timeseries._column("c", same) is same
+    assert timeseries._column("c", (1, True)) == array("d", [1.0, 1.0])
 
 
 def test_save_trace_with_big_endian_t(tmp_path):
