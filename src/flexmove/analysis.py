@@ -63,7 +63,11 @@ def sweep_n(L: float, k: float, m: float, n_from: float, n_to: float,
     multiple n = 1.
     """
     for name, value in (("n_from", n_from), ("n_to", n_to), ("step", step)):
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except TypeError:  # not a number
+            finite = False
+        if not finite:
             raise ValueError(f"sweep {name} must be finite, got {value!r}")
     if n_from <= 1.0:
         raise ValueError("sweep range must stay above n = 1 (resonant multiple)")

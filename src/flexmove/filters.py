@@ -58,10 +58,13 @@ class FilterDesign(Record):
 
         if not isinstance(order, numbers.Integral) or order not in ALLOWED_ORDERS:
             raise ValueError(f"filter order must be one of {ALLOWED_ORDERS}, got {order}")
-        if not 0.0 < cutoff_hz < 0.5 * positive_finite("sample rate", rate_hz):
+        nyquist = 0.5 * positive_finite("sample rate", rate_hz)
+        real = isinstance(cutoff_hz, numbers.Real) and not isinstance(cutoff_hz, bool)
+        if not (real and 0.0 < cutoff_hz < nyquist):  # nan, a bool or a non-number too
             raise ValueError(
                 f"cutoff must lie strictly between 0 and the Nyquist frequency "
-                f"{0.5 * rate_hz!r} Hz, got {float(cutoff_hz)!r} Hz")
+                f"{nyquist!r} Hz, got "
+                f"{float(cutoff_hz) if isinstance(cutoff_hz, float) else cutoff_hz!r} Hz")
         warp = math.tan(math.pi * cutoff_hz / rate_hz)
         w2 = warp * warp
         sections = []
@@ -92,20 +95,21 @@ design_butterworth = FilterDesign
 BLOCK = 64
 
 
-def _section_run(sec: Biquad, u: list, z1: float = 0.0, z2: float = 0.0, states=None):
-    """One section in transposed direct form II over the Python floats u from the
-    state (z1, z2): its outputs and its final state.  The state after each sample
-    is appended to ``states`` when one is given."""
-    b0, b1, b2, a1, a2 = sec
-    out = []
-    for xi in u:
-        yi = b0 * xi + z1
-        z1 = b1 * xi + z2 - a1 * yi
-        z2 = b2 * xi - a2 * yi
-        out.append(yi)
-        if states is not None:
-            states.append((z1, z2))
-    return out, z1, z2
+def _cascade_run(sections: tuple[Biquad, ...], u: list, state: list):
+    """The cascade, each section in transposed direct form II, over the Python
+    floats u from ``state`` (z1, z2 of each section in turn): its outputs and its
+    state after each sample."""
+    state, out, states = list(state), [], []
+    indexed = [(2 * k, *sec) for k, sec in enumerate(sections)]  # z1 of section k at 2k
+    for x in u:
+        for k, b0, b1, b2, a1, a2 in indexed:
+            y = b0 * x + state[k]
+            state[k] = b1 * x + state[k + 1] - a1 * y
+            state[k + 1] = b2 * x - a2 * y
+            x = y
+        out.append(x)
+        states.append(state[:])
+    return out, states
 
 
 def _block_model(sections: tuple[Biquad, ...]):
@@ -119,32 +123,22 @@ def _block_model(sections: tuple[Biquad, ...]):
     - ``step``: (A**n).T, which carries a state across one block;
     - ``free``: C A**i in column i, the response to the state a block starts from.
 
-    The sections' own recurrences build them, on unit impulses and unit states in
-    Python floats: no power of A is formed by a matrix product.
+    All three are read off runs of the cascade's own recurrence in Python floats:
+    the unit impulse from the zero state gives h and the states A**m B, and n zero
+    inputs from each unit state give a row of ``free`` and, by the last state, of
+    ``step``.  No power of A is formed by a matrix product.
     """
-    n = BLOCK
-    u = [1.0] + [0.0] * (n - 1)
-    trajectories = []
-    for sec in sections:
-        states = []
-        u, _, _ = _section_run(sec, u, states=states)
-        trajectories.append(states)
-    h = np.array([0.0] * n + u)
+    n, zeros = BLOCK, [0.0] * (2 * len(sections))
+    h, to_state = _cascade_run(sections, [1.0] + [0.0] * (n - 1), zeros)
+    h = np.array([0.0] * n + h)
     lag = np.arange(n)
     toeplitz = h[n + lag[None, :] - lag[:, None]]
-    # trajectories[k][m]: section k's state after m + 1 samples of the impulse
-    to_state = np.array(trajectories).transpose(1, 0, 2).reshape(n, -1)[::-1]
     free, step = [], []
-    for k, sec in enumerate(sections):
-        for unit in ((1.0, 0.0), (0.0, 1.0)):  # the sections after k run on its output
-            u, z1, z2 = _section_run(sec, [0.0] * n, *unit)
-            row = [0.0] * (2 * k) + [z1, z2]
-            for later in sections[k + 1:]:
-                u, z1, z2 = _section_run(later, u)
-                row += (z1, z2)
-            free.append(u)
-            step.append(row)
-    return np.concatenate((toeplitz, to_state), axis=1), np.array(step), np.array(free)
+    for i in range(len(zeros)):
+        out, states = _cascade_run(sections, [0.0] * n, zeros[:i] + [1.0] + zeros[i + 1:])
+        free.append(out)
+        step.append(states[-1])
+    return np.concatenate((toeplitz, to_state[::-1]), axis=1), np.array(step), np.array(free)
 
 
 def _cascade(model, blocks: np.ndarray, size: int) -> None:

@@ -119,7 +119,11 @@ def integrate(forcing, k: float, t_end: float, step: float,
     # -ksq * x and 0.5 * h * k1v multiply left to right, so their first factors
     # can be formed once without changing a bit
     nksq, half = -k * k, 0.5 * h
-    x, v = float(initial_state[0]), float(initial_state[1])
+    try:
+        x, v = map(float, initial_state)
+    except (TypeError, ValueError):  # not two numbers
+        raise ValueError(
+            f"initial_state must be two numbers (x, v), got {initial_state!r}") from None
     xs, vs, accs = array("d", [x]), array("d", [v]), array("d")
     u0 = forcing(times[0])
     for a, b in zip(times, islice(times, 1, None)):

@@ -69,6 +69,8 @@ class TimeSeries(Record):
     __eq__, __hash__ = object.__eq__, object.__hash__  # holds arrays: equal only to itself
 
     def __init__(self, t: np.ndarray, values: np.ndarray, label: str = "value") -> None:
+        if not isinstance(label, str):
+            raise ValueError(f"a series label must be a str, got {label!r}")
         t, values = np.asarray(t, dtype=float), np.asarray(values, dtype=float)
         if values.ndim != 1 or len(values) < 2:
             raise ValueError("a time series needs at least two samples")
@@ -222,9 +224,10 @@ def _format_float64(table):
 def write_csv(path, header, columns) -> None:
     """Write equal-length numeric columns under a comma-separated header.
 
-    The bytes are those of ``np.savetxt`` with a ``%.12g`` cell format.  Each
-    column is checked once, by _column, before the file is opened, so that a column
-    that fails leaves no file behind.  Rows go _WRITE_ROWS at a time by one route:
+    The bytes are those of ``np.savetxt`` with a ``%.12g`` cell format.  The header
+    (one str per column) and each column, by _column, are checked once before the
+    file is opened, so that a column that fails leaves no file behind.  Rows go
+    _WRITE_ROWS at a time by one route:
 
     - Columns that are all ``array('d')`` (what ``plan``, ``simulate``, ``sweep``
       and ``report`` write) go through the template: one ``%`` string operation
@@ -250,6 +253,9 @@ def write_csv(path, header, columns) -> None:
     if len(header) != len(columns):
         raise ValueError(f"need one header name per column, got {len(header)} names "
                          f"for {len(columns)} columns")
+    for name in header:
+        if not isinstance(name, str):
+            raise ValueError(f"header name {name!r} is not a str")
     columns = [_column(name, column) for name, column in zip(header, columns)]
     lengths = [len(column) for column in columns]
     if len(set(lengths)) != 1:

@@ -58,6 +58,8 @@ class TestSweep:
             sweep_n(**MOVE, n_from=2.0, n_to=4.0, step=0.0)
         with pytest.raises(ValueError, match="n_to"):
             sweep_n(**MOVE, n_from=4.0, n_to=2.0, step=0.5)
+        with pytest.raises(ValueError, match="^sweep n_from must be finite, got '2'$"):
+            sweep_n(**MOVE, n_from="2", n_to=3, step=0.5)
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "sweep.csv"

@@ -73,9 +73,12 @@ class TestDesign:
     def test_a_numpy_integer_order_is_accepted(self, bench_design):
         assert design_butterworth(np.int64(4), 20.0, RATE).sections == bench_design.sections
 
-    @pytest.mark.parametrize("cutoff", [750.0, 800.0, 0.0, -5.0])
+    @pytest.mark.parametrize("cutoff", [750.0, 800.0, 0.0, -5.0, math.nan, True, "20",
+                                        pytest.param(10**400, id="10**400")])
     def test_cutoff_outside_nyquist_rejected(self, cutoff):
-        with pytest.raises(ValueError, match="Nyquist"):
+        # a bool is not a cutoff of 1 Hz, nor a string one of 20 Hz; an int past
+        # the float range is named as it is
+        with pytest.raises(ValueError, match="^cutoff must lie strictly between 0 and the Nyquist"):
             design_butterworth(4, cutoff, RATE)
 
     def test_the_nyquist_error_tells_its_two_numbers_apart(self):
@@ -316,6 +319,42 @@ def test_the_bits_at_block_edges_are_pinned(order):
         x = np.cumsum(np.random.default_rng(n).random(n) - 0.5)
         found = filtfilt(design, sampled(x)).values
         assert hashlib.sha256(found.tobytes()).hexdigest() == EDGE_DIGESTS[order][n], n
+
+
+#: the cutoffs the model's bits are pinned at, all at RATE: the floor, the bench's
+#: 20 Hz, a tenth and 0.45 of the rate
+MODEL_CUTOFFS = {"floor": MIN_CUTOFF_RATIO * RATE, "bench": 20.0, "0.1": 0.1 * RATE,
+                 "0.45": 0.45 * RATE}
+
+#: sha256 of the bytes of _block_model's matrix, step and free, in that order, per
+#: order and cutoff.  Computed with the model composed from per-section runs
+MODEL_DIGESTS = {
+    2: {"floor": "fbb081e12449495d875f52d98670f8334e7c34bf884a0853a28ceece73f785f5",
+        "bench": "3ed60aee4829a1d5d9eede667d1f599b0ce6ab512c2d6dd43bff968b92a52fdf",
+        "0.1": "db456375e736ddb87dfe498375d5de30fe17c7538173b875f47699142393793f",
+        "0.45": "b92448eb703b8c76462e842b049def7bd81d3642ae0520253cb3f52435622777"},
+    4: {"floor": "d23f48d716a24b2a1de6bede68bbe2a74055a5c35d9b38754cbdb2dc5a1278b3",
+        "bench": "5e2b620accc115b56c411b2b28da171ee8f3692b4795bd3da1019974845f6302",
+        "0.1": "e08fc0d7245c0949c5995ca29ea82b6fdcbbd29e722548bdc2837f05a8d46f91",
+        "0.45": "652e5fd2368f6f56a9e7ae9300b9912854c4139f296cc73bf94368004fb0991a"},
+    6: {"floor": "f939b49321669341e0797c04d68a5922729d1b7bd4ec6ace23edbcd4f1ee692b",
+        "bench": "d23c235006e8c0d8f7a37bbf4e841202f8f2088b97c956887d454c9c44949b30",
+        "0.1": "8efe74ca67672cede9a4f715a8dfabce8959a7434f68aa30f4cf26f13b87947b",
+        "0.45": "0b24bc73731614f807d84637f9393069c66e1fe2f110270fe90974af118d449b"},
+    8: {"floor": "96c7766698ca1b78716d0341fe169b57260216a6214c6ebab76d8a3b5e2f263a",
+        "bench": "30bf989be8a7d9e18ec2316a1f308114345b6f8dedb73d6ef9a8821456bdea1f",
+        "0.1": "c47af82faabd15ff8c97e71dd2fa4846e115e4a86b26e88bc93fefa01de726ad",
+        "0.45": "e76beb25289b4c1883f144ed755d4664ae8de7c9b8963bd6b988deeee2196d58"},
+}
+
+
+@pytest.mark.parametrize("order", ALLOWED_ORDERS)
+def test_the_bits_of_the_block_model_are_pinned(order):
+    for key, cutoff in MODEL_CUTOFFS.items():
+        digest = hashlib.sha256()
+        for matrix in _block_model(FilterDesign(order, cutoff, RATE).sections):
+            digest.update(matrix.tobytes())
+        assert digest.hexdigest() == MODEL_DIGESTS[order][key], key
 
 
 #: sha256 of filtfilt's output bytes on the bench move's tip trace, one line per

@@ -206,6 +206,11 @@ class TestIntegrator:
         with pytest.raises(ValueError, match="^k must be a positive finite number"):
             integrate(lambda t: 0.0, math.nan, 10.0, 0.01)
 
+    @pytest.mark.parametrize("initial_state", [(1.0,), (), (1.0, 0.0, 0.0), (None, 0.0), 0.0])
+    def test_an_initial_state_that_is_not_a_pair_is_rejected(self, initial_state):
+        with pytest.raises(ValueError, match="^initial_state must be"):
+            integrate(lambda t: 0.0, 5.0, 1.0, 1e-3, initial_state)
+
     @pytest.mark.parametrize("forcing, k, initial_state", [
         (lambda t: 1.0, 1e160, (0.0, 0.0)),
         (lambda t: 0.0, 5.78, (math.nan, 0.0)),

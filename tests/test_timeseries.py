@@ -57,6 +57,12 @@ class TestTimeSeries:
         with pytest.raises(ValueError, match="two samples"):
             TimeSeries(t=np.zeros(1), values=np.zeros(1))
 
+    @pytest.mark.parametrize("label", [5, None, b"tip"])
+    def test_rejects_a_label_that_is_not_a_str(self, label):
+        # the label heads the CSV column save_trace writes
+        with pytest.raises(ValueError, match="^a series label must be a str"):
+            TimeSeries([0, 1, 2], [1, 2, 3], label)
+
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=9))
@@ -386,6 +392,13 @@ def test_a_column_fault_is_a_value_error_that_names_the_column(tmp_path):
         write_csv(tmp_path / "table.csv", ["t", "v"], [[0.0, 1.0], [0.5, "x"]])
     with pytest.raises(ValueError, match="^need one header name per column, got 1 names for 2"):
         write_csv(tmp_path / "table.csv", ["t"], [[0.0], [0.5]])
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", [5, None, b"v"])
+def test_a_header_name_that_is_not_a_str_leaves_no_file(tmp_path, name):
+    with pytest.raises(ValueError, match=f"^header name {re.escape(repr(name))} is not a str$"):
+        write_csv(tmp_path / "table.csv", ["t", name], [[0.0, 1.0], [0.5, 1.5]])
     assert list(tmp_path.iterdir()) == []
 
 
