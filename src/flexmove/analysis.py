@@ -8,7 +8,7 @@ from collections import namedtuple
 
 from ._numpy import np
 from ._record import Record
-from .beam import BeamSpec, positive_finite
+from .beam import BeamSpec, _real_float, _shown, positive_finite
 from .motion import (DEFAULT_QUAD_INTERVALS, MotionSpec, check_grid_size, simpson,
                      simpson_grid)
 from .oscillator import ResidualReport, final_relative_state
@@ -62,13 +62,11 @@ def sweep_n(L: float, k: float, m: float, n_from: float, n_to: float,
     are flagged quiescent; all grid points must stay above the resonant
     multiple n = 1.
     """
-    for name, value in (("n_from", n_from), ("n_to", n_to), ("step", step)):
-        try:
-            finite = math.isfinite(value)
-        except TypeError:  # not a number
-            finite = False
-        if not finite:
-            raise ValueError(f"sweep {name} must be finite, got {value!r}")
+    bounds = tuple(map(_real_float, (n_from, n_to, step)))
+    for name, value, number in zip(("n_from", "n_to", "step"), (n_from, n_to, step), bounds):
+        if number is None or not math.isfinite(number):
+            raise ValueError(f"sweep {name} must be finite, got {_shown(value)}")
+    n_from, n_to, step = bounds
     if n_from <= 1.0:
         raise ValueError("sweep range must stay above n = 1 (resonant multiple)")
     if n_to < n_from:

@@ -13,22 +13,34 @@ import sys
 from ._record import Record
 
 
-def positive_finite(name: str, value) -> float:
-    """Return value as a float if it is a real number in (0, largest float], bools excluded."""
+def _real_float(value) -> float | None:
+    """value as a float if it is a real number, bools excluded, else None."""
     if type(value) is float:  # the common case, without the ABC check
-        number = value
-    else:
-        import numbers
+        return value
+    import numbers
 
-        number = math.nan  # what is not a real number fails the range check
-        if not isinstance(value, bool) and isinstance(value, numbers.Real):
-            try:  # a numpy scalar is compared as a float, not the float's maximum cast to its type
-                number = float(value)
-            except OverflowError:  # an int beyond the float range
-                number = math.inf
-    if 0.0 < number <= sys.float_info.max:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None  # np.True_, a str, None, a complex, a Decimal
+    try:  # a numpy scalar is compared as a float, not the float's maximum cast to its type
+        return float(value)
+    except OverflowError:  # an int or a Fraction beyond the float range reads as +-inf
+        return math.inf if value > 0 else -math.inf
+
+
+def _shown(value) -> str:
+    """repr(value) for a rejection message, or the size of an int too long for repr."""
+    try:
+        return repr(value)
+    except ValueError:  # an int past sys.get_int_max_str_digits()
+        return f"<int of {value.bit_length()} bits>"
+
+
+def positive_finite(name: str, value) -> float:
+    """Return value as _real_float reads it if that is a float in (0, largest float]."""
+    number = _real_float(value)
+    if number is not None and 0.0 < number <= sys.float_info.max:
         return number
-    raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+    raise ValueError(f"{name} must be a positive finite number, got {_shown(value)}")
 
 
 class BeamSpec(Record):

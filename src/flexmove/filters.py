@@ -14,7 +14,7 @@ from collections import namedtuple
 
 from ._numpy import np
 from ._record import Record
-from .beam import positive_finite
+from .beam import _real_float, _shown, positive_finite
 from .timeseries import TimeSeries
 
 ALLOWED_ORDERS = (2, 4, 6, 8)
@@ -58,14 +58,13 @@ class FilterDesign(Record):
 
         if not isinstance(order, numbers.Integral) or order not in ALLOWED_ORDERS:
             raise ValueError(f"filter order must be one of {ALLOWED_ORDERS}, got {order}")
-        nyquist = 0.5 * positive_finite("sample rate", rate_hz)
-        real = isinstance(cutoff_hz, numbers.Real) and not isinstance(cutoff_hz, bool)
-        if not (real and 0.0 < cutoff_hz < nyquist):  # nan, a bool or a non-number too
-            raise ValueError(
-                f"cutoff must lie strictly between 0 and the Nyquist frequency "
-                f"{nyquist!r} Hz, got "
-                f"{float(cutoff_hz) if isinstance(cutoff_hz, float) else cutoff_hz!r} Hz")
-        warp = math.tan(math.pi * cutoff_hz / rate_hz)
+        rate = positive_finite("sample rate", rate_hz)
+        nyquist, cutoff = 0.5 * rate, _real_float(cutoff_hz)
+        if cutoff is None or not 0.0 < cutoff < nyquist:  # nan, a bool or a non-number too
+            shown = _shown(cutoff if isinstance(cutoff_hz, float) else cutoff_hz)
+            raise ValueError(f"cutoff must lie strictly between 0 and the Nyquist frequency "
+                             f"{nyquist!r} Hz, got {shown} Hz")
+        warp = math.tan(math.pi * cutoff / rate)
         w2 = warp * warp
         sections = []
         for i in range(order // 2):
@@ -75,16 +74,14 @@ class FilterDesign(Record):
                 b0=w2 / norm, b1=2.0 * w2 / norm, b2=w2 / norm,
                 a1=2.0 * (w2 - 1.0) / norm, a2=(w2 - 2.0 * warp * damp + 1.0) / norm))
         if not all(sec.is_stable() for sec in sections):  # rounding, at a cutoff near 0 or Nyquist
-            raise ValueError(
-                f"unstable section: cutoff {float(cutoff_hz)!r} Hz at rate {float(rate_hz)!r} Hz "
-                f"puts a pole on or outside the unit circle")
-        if cutoff_hz < MIN_CUTOFF_RATIO * rate_hz:
-            raise ValueError(
-                f"cutoff {float(cutoff_hz)!r} Hz is below the lowest admissible cutoff "
-                f"{MIN_CUTOFF_RATIO * rate_hz!r} Hz at rate {float(rate_hz)!r} Hz: below a "
-                f"cutoff-to-rate ratio of {MIN_CUTOFF_RATIO:g} the filter's error can exceed "
-                f"{ERROR_BOUND:g} of the signal's swing")
-        self._set(order=order, cutoff_hz=cutoff_hz, rate_hz=rate_hz, sections=tuple(sections))
+            raise ValueError(f"unstable section: cutoff {cutoff!r} Hz at rate {rate!r} Hz "
+                             "puts a pole on or outside the unit circle")
+        if cutoff < MIN_CUTOFF_RATIO * rate:
+            raise ValueError(f"cutoff {cutoff!r} Hz is below the lowest admissible cutoff "
+                             f"{MIN_CUTOFF_RATIO * rate!r} Hz at rate {rate!r} Hz: below a "
+                             f"cutoff-to-rate ratio of {MIN_CUTOFF_RATIO:g} the filter's error "
+                             f"can exceed {ERROR_BOUND:g} of the signal's swing")
+        self._set(order=order, cutoff_hz=cutoff, rate_hz=rate, sections=tuple(sections))
 
 
 #: the name the CLI and the scripts design by: the constructor itself, not a second route

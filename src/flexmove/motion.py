@@ -44,7 +44,8 @@ def simpson_grid(t_end: float, step: float) -> np.ndarray:
     A step of t_end/N counts N intervals even when the division rounds up;
     an odd count is raised by one.
     """
-    n = max(2, math.ceil(t_end / positive_finite("quadrature step", step) - 1e-9))
+    step = positive_finite("quadrature step", step)
+    n = max(2, math.ceil(t_end / step - 1e-9))
     if n % 2:
         n += 1
     check_grid_size(n + 1.0, f"quadrature grid with step {step:g} s")

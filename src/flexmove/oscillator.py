@@ -21,7 +21,7 @@ from itertools import islice
 
 from ._numpy import np
 from ._record import Record
-from .beam import positive_finite
+from .beam import _real_float, positive_finite
 from .motion import (DEFAULT_QUAD_INTERVALS, TWO_PI, MotionSpec, check_grid_size, simpson,
                      simpson_grid, timing_residual)
 from .timeseries import TimeSeries, write_csv
@@ -120,10 +120,11 @@ def integrate(forcing, k: float, t_end: float, step: float,
     # can be formed once without changing a bit
     nksq, half = -k * k, 0.5 * h
     try:
-        x, v = map(float, initial_state)
-    except (TypeError, ValueError):  # not two numbers
-        raise ValueError(
-            f"initial_state must be two numbers (x, v), got {initial_state!r}") from None
+        x, v = map(_real_float, initial_state)
+    except (TypeError, ValueError):  # not iterable, or not a pair
+        x = v = None
+    if x is None or v is None:
+        raise ValueError(f"initial_state must be two numbers (x, v), got {initial_state!r}")
     xs, vs, accs = array("d", [x]), array("d", [v]), array("d")
     u0 = forcing(times[0])
     for a, b in zip(times, islice(times, 1, None)):

@@ -365,6 +365,7 @@ def _read_plain_csv(path, n_columns):
         raise ValueError
     header = _plain_header(name, n_columns)
     # comments=None: numpy would skip the `#` lines that the csv reader rejects
+    # by path, not an open file: numpy reads a path in blocks and a file object by lines
     table = np.loadtxt(name, skiprows=1, encoding="utf-8", delimiter=",", comments=None,
                        quotechar=None, ndmin=2)
     if table.shape[1] != len(header):

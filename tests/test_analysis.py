@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -60,6 +61,16 @@ class TestSweep:
             sweep_n(**MOVE, n_from=4.0, n_to=2.0, step=0.5)
         with pytest.raises(ValueError, match="^sweep n_from must be finite, got '2'$"):
             sweep_n(**MOVE, n_from="2", n_to=3, step=0.5)
+
+    @pytest.mark.parametrize("bound", ["n_from", "n_to", "step"])
+    @pytest.mark.parametrize("value", [True, Decimal("1.5"), 10**400],
+                             ids=["bool", "decimal", "int-past-float"])
+    def test_a_bound_that_is_not_a_finite_float_is_named(self, bound, value):
+        # a bool is not n = 1, a Decimal does not reach `/`, and an int past the float
+        # range does not overflow in math.isfinite: each is the bound's own error
+        bounds = {"n_from": 2.0, "n_to": 3.0, "step": 0.5, bound: value}
+        with pytest.raises(ValueError, match=f"^sweep {bound} must be finite, got "):
+            sweep_n(**MOVE, **bounds)
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "sweep.csv"

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BENCH_BEAM
-from flexmove import BeamSpec, MotionSpec, load_beam
+from flexmove import BeamSpec, FilterDesign, MotionSpec, integrate, load_beam, sweep_n
 from flexmove.beam import positive_finite
 
 # Frozen chain values for the bench strip (l=0.305, b=0.013, h=5e-4, E=2.1e11).
@@ -168,29 +168,84 @@ class _Float(float):
     pass
 
 
+#: 5000 digits: past the 4300 that int's repr converts, so a message shows its size
+LONG_INT = 10**4999
+
 #: (value, what positive_finite("x", value) returns: a float, or None for the
 #: ValueError that quotes the value)
 POSITIVE_FINITE = [
     (_Float(2.5), 2.5), (np.float64(2.5), 2.5), (np.float32(0.1), 0.10000000149011612),
     (-0.0, None), (5e-324, 5e-324), (sys.float_info.max, sys.float_info.max),
-    (math.inf, None), (math.nan, None), (True, None), (10**400, None),
-    (Fraction(1, 3), 1 / 3), (Decimal("1"), None), ("1", None),
+    (math.inf, None), (math.nan, None), (True, None), (np.True_, None), (10**400, None),
+    (-10**400, None), (LONG_INT, None), (Fraction(1, 3), 1 / 3), (Decimal("1"), None),
+    ("1", None), (None, None), (1 + 0j, None),
 ]
 
+KINDS = ["float-subclass", "float64", "float32", "minus-zero", "subnormal", "float-max", "inf",
+         "nan", "bool", "numpy-bool", "int-past-float", "minus-int-past-float",
+         "int-past-repr", "fraction", "decimal", "str", "none", "complex"]
 
-@pytest.mark.parametrize("value,number", POSITIVE_FINITE, ids=[
-    "float-subclass", "float64", "float32", "minus-zero", "subnormal", "float-max", "inf", "nan",
-    "bool", "int-past-float", "fraction", "decimal", "str"])
+
+def quoted(value) -> str:
+    """value as a rejection message quotes it."""
+    return "<int of 16607 bits>" if value is LONG_INT else repr(value)
+
+
+@pytest.mark.parametrize("value,number", POSITIVE_FINITE, ids=KINDS)
 def test_positive_finite_on_every_kind_of_value(value, number):
     # a plain float skips the numbers.Real check; every other kind still takes it
     if number is None:
         with pytest.raises(ValueError) as info:
             positive_finite("x", value)
-        assert str(info.value) == f"x must be a positive finite number, got {value!r}"
+        assert str(info.value) == f"x must be a positive finite number, got {quoted(value)}"
     else:
         result = positive_finite("x", value)
         assert type(result) is float and result == number
         assert result is value or type(value) is not float
+
+
+#: the other scalars read as positive_finite reads them, each with a range of its own:
+#: (the starts of the site's rejection messages, the site run on one value, returning the
+#: float it read).  The sweep from 2 by 0.5 ends at n_to when n_to is 2.5, the one kind
+#: in its range
+SCALAR_SITES = {
+    "sweep-n_from": (("sweep ", "need n_to"),
+                     lambda x: sweep_n(0.41, 5.78, 0.09, x, 3.0, 0.5).rows[0].n),
+    "sweep-n_to": (("sweep ", "need n_to"),
+                   lambda x: sweep_n(0.41, 5.78, 0.09, 2.0, x, 0.5).rows[-1].n),
+    "initial-x": (("initial_state ", "RK4 state "),
+                  lambda x: integrate(lambda t: 0.0, 5.0, 0.1, 1e-3, (x, 0.0)).x[0]),
+    "initial-v": (("initial_state ", "RK4 state "),
+                  lambda v: integrate(lambda t: 0.0, 5.0, 0.1, 1e-3, (0.0, v)).v[0]),
+    "cutoff": (("cutoff ", "unstable section: cutoff "),
+               lambda x: FilterDesign(4, x, 1500.0).cutoff_hz),
+}
+
+
+@pytest.mark.parametrize("site", list(SCALAR_SITES))
+@pytest.mark.parametrize("value,number", POSITIVE_FINITE, ids=KINDS)
+def test_every_scalar_site_reads_a_value_as_positive_finite_does(site, value, number):
+    # a site converts what positive_finite converts, or rejects it with a ValueError of
+    # its own wording: never an OverflowError, a TypeError or repr's digit-limit error
+    starts, read = SCALAR_SITES[site]
+    try:
+        result = read(value)
+    except ValueError as exc:
+        assert str(exc).startswith(starts), exc
+        return
+    assert type(result) is float
+    if number is None:  # of the numbers positive_finite rejects, a state takes only -0.0
+        assert site.startswith("initial-") and value == 0.0 and type(value) is float
+    assert result == (value if number is None else number)
+
+
+def test_a_value_too_long_for_repr_is_shown_by_its_size():
+    with pytest.raises(ValueError, match=r"^L must be a positive finite number, "
+                                         r"got <int of 16610 bits>$"):
+        MotionSpec(L=10**5000, k=5.0, n=2, m=0.1)
+    with pytest.raises(ValueError, match=r"^cutoff must lie strictly between 0 and the Nyquist "
+                                         r"frequency 750\.0 Hz, got <int of 16610 bits> Hz$"):
+        FilterDesign(4, 10**5000, 1500.0)
 
 
 class TestLoadBeam:

@@ -117,10 +117,12 @@ def test_help_still_loads_argparse(job_modules):
 
 
 @pytest.mark.parametrize("job,unused", [("sweep", {"json", "numbers"}),
-                                        ("plan", {"json", "numbers"}), ("filter", {"json"})])
+                                        ("plan", {"json", "numbers"}), ("simulate", {"numbers"}),
+                                        ("filter", {"json"})])
 def test_a_job_loads_no_stdlib_module_it_does_not_use(job_modules, job, unused):
     # json only reads beam documents and prints simulate's report; numbers only
-    # checks what is not a plain float, and a filter order
+    # checks what is not a plain float, and a filter order: integrate's (0.0, 0.0)
+    # state takes the plain-float path
     assert sorted(unused & job_modules(JOB_ARGV[job])) == []
 
 

@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -306,6 +307,11 @@ class TestMoments:
         grid = simpson_grid(t_end, t_end / intervals * slack)
         y = np.sin(omega * grid) + curve * grid**2
         assert simpson(y, grid) == float(reference(y, x=grid))
+
+    def test_a_fraction_step_is_read_as_a_float(self):
+        # the grid-size message formats the step with :g, which Fraction takes only
+        # from Python 3.12 on
+        assert np.array_equal(simpson_grid(1.0, Fraction(1, 1024)), simpson_grid(1.0, 2.0**-10))
 
     def test_oversized_quadrature_grid_rejected(self):
         # 1.5e7 points: past the limit, yet small enough (120 MB) to allocate if unguarded

@@ -1,5 +1,6 @@
 import math
 from array import array
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -206,8 +207,11 @@ class TestIntegrator:
         with pytest.raises(ValueError, match="^k must be a positive finite number"):
             integrate(lambda t: 0.0, math.nan, 10.0, 0.01)
 
-    @pytest.mark.parametrize("initial_state", [(1.0,), (), (1.0, 0.0, 0.0), (None, 0.0), 0.0])
+    @pytest.mark.parametrize("initial_state", [(1.0,), (), (1.0, 0.0, 0.0), (None, 0.0), 0.0,
+                                               ("0.1", "0"), (True, False),
+                                               (Decimal("0.1"), 0)])
     def test_an_initial_state_that_is_not_a_pair_is_rejected(self, initial_state):
+        # numbers as MotionSpec reads its L: not a str, a bool or a Decimal
         with pytest.raises(ValueError, match="^initial_state must be"):
             integrate(lambda t: 0.0, 5.0, 1.0, 1e-3, initial_state)
 
