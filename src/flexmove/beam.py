@@ -28,11 +28,15 @@ def _real_float(value) -> float | None:
 
 
 def _shown(value) -> str:
-    """repr(value) for a rejection message, or the size of an int too long for repr."""
+    """repr(value) for a rejection message; never raises.  An int too long for repr
+    is shown by its size, any other value repr fails on by its type."""
     try:
         return repr(value)
-    except ValueError:  # an int past sys.get_int_max_str_digits()
-        return f"<int of {value.bit_length()} bits>"
+    except Exception:  # an int past sys.get_int_max_str_digits() or a value holding one
+        # (ValueError), a list nested too deeply (RecursionError): a message must not raise
+        if isinstance(value, int):
+            return f"<int of {value.bit_length()} bits>"
+        return f"<{type(value).__name__} that repr cannot show>"
 
 
 def positive_finite(name: str, value) -> float:

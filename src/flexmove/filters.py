@@ -57,7 +57,7 @@ class FilterDesign(Record):
         import numbers  # only filter jobs design a filter
 
         if not isinstance(order, numbers.Integral) or order not in ALLOWED_ORDERS:
-            raise ValueError(f"filter order must be one of {ALLOWED_ORDERS}, got {order}")
+            raise ValueError(f"filter order must be one of {ALLOWED_ORDERS}, got {_shown(order)}")
         rate = positive_finite("sample rate", rate_hz)
         nyquist, cutoff = 0.5 * rate, _real_float(cutoff_hz)
         if cutoff is None or not 0.0 < cutoff < nyquist:  # nan, a bool or a non-number too

@@ -21,10 +21,10 @@ from itertools import islice
 
 from ._numpy import np
 from ._record import Record
-from .beam import _real_float, positive_finite
+from .beam import _real_float, _shown, positive_finite
 from .motion import (DEFAULT_QUAD_INTERVALS, TWO_PI, MotionSpec, check_grid_size, simpson,
                      simpson_grid, timing_residual)
-from .timeseries import TimeSeries, write_csv
+from .timeseries import TimeSeries, _real_array, write_csv
 
 #: default number of RK4 steps across one move
 DEFAULT_RK4_STEPS = 20_000
@@ -37,8 +37,9 @@ QUIESCENCE_TOL_FACTOR = 1e-6
 
 
 def _times(spec: MotionSpec, t) -> np.ndarray:
-    arr, slack = np.asarray(t, dtype=float), 1e-12 * spec.t1
-    if np.any(arr < -slack) or np.any(arr > spec.t1 + slack):
+    """t as a float64 array, by _real_array; a nan lies outside the motion interval too."""
+    arr, slack = _real_array("time t", t), 1e-12 * spec.t1
+    if not ((arr >= -slack) & (arr <= spec.t1 + slack)).all():
         raise ValueError(f"time outside the motion interval [0, {spec.t1:.12g}] s")
     return arr
 
@@ -55,6 +56,11 @@ def relative_motion(spec: MotionSpec, t):
     sin(k*t) - sin(p*t) or cos(k*t) - cos(p*t).  Written as products with
     sin((k - p)*t/2), where k - p = p*(n - 1), the factor n - 1 cancels against
     the gain's in closed form instead of in rounding as n approaches 1.
+
+    t is a time or an array of times in [0, t1], widened by 1e-12 * t1 at each
+    end.  A time outside it, nan included, raises ValueError, and so does a t
+    that is not real: a complex time, or one that float() rejects or that lies
+    past the float range (an int of 400 digits).
     """
     arr = _times(spec, t)
     k, p, n = spec.k, spec.p, spec.n
@@ -124,7 +130,8 @@ def integrate(forcing, k: float, t_end: float, step: float,
     except (TypeError, ValueError):  # not iterable, or not a pair
         x = v = None
     if x is None or v is None:
-        raise ValueError(f"initial_state must be two numbers (x, v), got {initial_state!r}")
+        raise ValueError(f"initial_state must be two numbers (x, v), "
+                         f"got {_shown(initial_state)}")
     xs, vs, accs = array("d", [x]), array("d", [v]), array("d")
     u0 = forcing(times[0])
     for a, b in zip(times, islice(times, 1, None)):
@@ -230,14 +237,16 @@ def action_value(spec: MotionSpec, position_fn=None, velocity_fn=None,
     becomes m*p**2.  Defaults to the executed motion law, whose action has
     the closed form ``spec.action``, m*L**2*p*(pi/3 + 1/(4*pi)), that
     :func:`residual_report` reports; this composite-Simpson route is its
-    oracle.  Pass array-aware callables to evaluate perturbed trajectories.
+    oracle.  Pass array-aware callables to evaluate perturbed trajectories;
+    their values are read by timeseries._real_array, so a complex value raises
+    ValueError.
     """
     if step is None:
         step = spec.t1 / DEFAULT_QUAD_INTERVALS
     grid = simpson_grid(spec.t1, step)
     s_law, v_law, _ = spec._laws(np)
-    s = s_law(spec.p * grid) if position_fn is None else np.asarray(position_fn(grid), dtype=float)
-    v = v_law(spec.p * grid) if velocity_fn is None else np.asarray(velocity_fn(grid), dtype=float)
+    s = s_law(spec.p * grid) if position_fn is None else _real_array("position", position_fn(grid))
+    v = v_law(spec.p * grid) if velocity_fn is None else _real_array("velocity", velocity_fn(grid))
     drive = spec.m * spec.peak_acceleration * spec.p  # m*L*p**3/(2*pi), where p**3 may overflow
     integrand = 0.5 * spec.m * v * v - 0.5 * spec.m * spec.p**2 * s * s + drive * grid * s
     return simpson(integrand, grid)

@@ -11,6 +11,7 @@ from itertools import chain, count, islice
 
 from ._numpy import np
 from ._record import Record
+from .beam import _shown
 
 #: significant digits written to CSV.  Not a lossless float round trip: a
 #: reloaded value differs from the written float by up to 5e-12 relative.
@@ -46,10 +47,34 @@ def fmt(x: float) -> str:
     return format(float(x), f".{CSV_DIGITS}g")
 
 
+def _real_array(name: str, value) -> np.ndarray:
+    """An array from outside as a float64 ndarray, or a ValueError that names it.
+
+    A float64 ndarray is returned as it is, neither copied nor converted; any
+    other value goes through np.asarray and then astype(float), so a bool, an
+    int and a numeric string convert as numpy converts them.  A complex dtype or
+    cell, a cell that float() rejects and one past the float range (an int of
+    400 digits) are not real numbers.  numpy's own ValueErrors (a ragged list, a
+    string that is not a number) pass as numpy raises them.
+    """
+    array = np.asarray(value)
+    if array.dtype == np.float64:
+        return array
+    # an object array's complex cell would convert with a ComplexWarning only
+    if array.dtype.kind == "c" or array.dtype.kind == "O" and any(
+            isinstance(cell, (complex, np.complexfloating)) for cell in array.flat):
+        raise ValueError(f"{name} holds a cell that is not a real number: a complex number")
+    try:
+        return array.astype(float)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"{name} holds a cell that is not a real number: {exc}") from None
+
+
 class TimeSeries(Record):
     """A scalar signal sampled at a fixed rate.
 
     The one place a series is checked: a ValueError names the rule it breaks.
+    ``t`` and ``values`` are read by _real_array, so a float64 array is kept as it is.
 
     Attributes
     ----------
@@ -70,8 +95,8 @@ class TimeSeries(Record):
 
     def __init__(self, t: np.ndarray, values: np.ndarray, label: str = "value") -> None:
         if not isinstance(label, str):
-            raise ValueError(f"a series label must be a str, got {label!r}")
-        t, values = np.asarray(t, dtype=float), np.asarray(values, dtype=float)
+            raise ValueError(f"a series label must be a str, got {_shown(label)}")
+        t, values = _real_array("time column", t), _real_array("value column", values)
         if values.ndim != 1 or len(values) < 2:
             raise ValueError("a time series needs at least two samples")
         if t.shape != values.shape:
@@ -255,7 +280,7 @@ def write_csv(path, header, columns) -> None:
                          f"for {len(columns)} columns")
     for name in header:
         if not isinstance(name, str):
-            raise ValueError(f"header name {name!r} is not a str")
+            raise ValueError(f"header name {_shown(name)} is not a str")
     columns = [_column(name, column) for name, column in zip(header, columns)]
     lengths = [len(column) for column in columns]
     if len(set(lengths)) != 1:
@@ -322,20 +347,21 @@ def _sibling(path):
 
 def _column(name, column):
     """A column as write_csv writes it: a list, tuple or array.array as array('d'); else a
-    1-D real numpy array, as float64 unless of a kind (bool, int, float) sure to convert.
-    A cell that is not a real number raises ValueError, naming the column."""
+    1-D numpy array, as it is if of a kind (bool, int, float) sure to convert, else by
+    _real_array.  A cell that is not a real number raises ValueError, naming the column,
+    whichever route it takes."""
     if isinstance(column, (list, tuple, array)):
         if getattr(column, "typecode", "") == "d":
             return column
         try:
             return array("d", column)
-        except TypeError as exc:
+        except (TypeError, OverflowError) as exc:  # a complex or a str; an int of 400 digits
             raise ValueError(f"column {name!r} holds a cell that is not a real number: "
                              f"{exc}") from None
     column = np.asarray(column)
-    if column.ndim != 1 or column.dtype.kind == "c":
+    if column.ndim != 1:
         raise ValueError("each column must be one-dimensional and real")
-    return column if column.dtype.kind in "biuf" else column.astype(float)
+    return column if column.dtype.kind in "biuf" else _real_array(f"column {name!r}", column)
 
 
 def read_numeric_csv(path, n_columns: int | None = None):

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import sys
 from decimal import Decimal
@@ -11,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BENCH_BEAM
-from flexmove import BeamSpec, FilterDesign, MotionSpec, integrate, load_beam, sweep_n
+from flexmove import (BeamSpec, FilterDesign, MotionSpec, TimeSeries, amplitude_table, integrate,
+                      load_beam, sweep_n)
 from flexmove.beam import positive_finite
+from flexmove.timeseries import write_csv
 
 # Frozen chain values for the bench strip (l=0.305, b=0.013, h=5e-4, E=2.1e11).
 BENCH_I = 1.3541666666666668e-13
@@ -171,6 +174,20 @@ class _Float(float):
 #: 5000 digits: past the 4300 that int's repr converts, so a message shows its size
 LONG_INT = 10**4999
 
+#: values whose repr fails on the LONG_INT they hold, so a message shows their type
+LONG_HOLDERS = [(LONG_INT,), [LONG_INT], Fraction(LONG_INT, 3)]
+
+
+def _nested(depth: int) -> list:
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+#: a list whose repr raises RecursionError, not ValueError: shown by its type too
+DEEP_LIST = _nested(100_000)
+
 #: (value, what positive_finite("x", value) returns: a float, or None for the
 #: ValueError that quotes the value)
 POSITIVE_FINITE = [
@@ -178,17 +195,22 @@ POSITIVE_FINITE = [
     (-0.0, None), (5e-324, 5e-324), (sys.float_info.max, sys.float_info.max),
     (math.inf, None), (math.nan, None), (True, None), (np.True_, None), (10**400, None),
     (-10**400, None), (LONG_INT, None), (Fraction(1, 3), 1 / 3), (Decimal("1"), None),
-    ("1", None), (None, None), (1 + 0j, None),
+    ("1", None), (None, None), (1 + 0j, None), *((value, None) for value in LONG_HOLDERS),
 ]
 
 KINDS = ["float-subclass", "float64", "float32", "minus-zero", "subnormal", "float-max", "inf",
          "nan", "bool", "numpy-bool", "int-past-float", "minus-int-past-float",
-         "int-past-repr", "fraction", "decimal", "str", "none", "complex"]
+         "int-past-repr", "fraction", "decimal", "str", "none", "complex", "tuple-past-repr",
+         "list-past-repr", "fraction-past-repr"]
 
 
 def quoted(value) -> str:
     """value as a rejection message quotes it."""
-    return "<int of 16607 bits>" if value is LONG_INT else repr(value)
+    if value is LONG_INT:
+        return "<int of 16607 bits>"
+    if any(value is holder for holder in (*LONG_HOLDERS, DEEP_LIST)):
+        return f"<{type(value).__name__} that repr cannot show>"
+    return repr(value)
 
 
 @pytest.mark.parametrize("value,number", POSITIVE_FINITE, ids=KINDS)
@@ -246,6 +268,40 @@ def test_a_value_too_long_for_repr_is_shown_by_its_size():
     with pytest.raises(ValueError, match=r"^cutoff must lie strictly between 0 and the Nyquist "
                                          r"frequency 750\.0 Hz, got <int of 16610 bits> Hz$"):
         FilterDesign(4, 10**5000, 1500.0)
+
+
+#: the sites that quote a rejected value of any kind: (the site run on one value, its
+#: message with {} for the quoted value)
+QUOTING_SITES = {
+    "MotionSpec-L": (lambda x: MotionSpec(L=x, k=5.0, n=2, m=0.1),
+                     "L must be a positive finite number, got {}"),
+    "BeamSpec-m_tip": (lambda x: BeamSpec(**dict(BENCH_BEAM, m_tip=x)),
+                       "m_tip must be a positive finite number, got {}"),
+    "amplitude_table-mass": (lambda x: amplitude_table([x], BeamSpec(**BENCH_BEAM), 0.4),
+                             "carried mass must be a positive finite number, got {}"),
+    "sweep-n_from": (lambda x: sweep_n(0.41, 5.78, 0.09, x, 3, 0.5),
+                     "sweep n_from must be finite, got {}"),
+    "initial_state": (lambda x: integrate(lambda t: 0.0, 5.0, 1.0, 1e-3, x),
+                      "initial_state must be two numbers (x, v), got {}"),
+    "series-label": (lambda x: TimeSeries([0.0, 1.0], [1.0, 2.0], x),
+                     "a series label must be a str, got {}"),
+    "header-name": (lambda x: write_csv(os.devnull, ["t", x], [[0.0], [1.0]]),
+                    "header name {} is not a str"),
+    "filter-order": (lambda x: FilterDesign(x, 20.0, 1500.0),
+                     "filter order must be one of (2, 4, 6, 8), got {}"),
+}
+
+
+@pytest.mark.parametrize("site", list(QUOTING_SITES))
+@pytest.mark.parametrize("value", [LONG_INT, *LONG_HOLDERS, DEEP_LIST],
+                         ids=["int", "tuple", "list", "fraction", "deep-list"])
+def test_a_value_repr_cannot_show_is_quoted_by_its_size_or_type(site, value):
+    # the message is the site's own: not repr's digit-limit error or RecursionError,
+    # nor an AttributeError from sizing a value that is not an int
+    read, message = QUOTING_SITES[site]
+    with pytest.raises(ValueError) as info:
+        read(value)
+    assert str(info.value) == message.format(quoted(value))
 
 
 class TestLoadBeam:

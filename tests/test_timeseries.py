@@ -15,8 +15,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from flexmove import MotionSpec, TimeSeries, load_trace, save_trace, tip_trace
+from conftest import BENCH
+from flexmove import MotionSpec, TimeSeries, load_trace, relative_motion, save_trace, tip_trace
 from flexmove import timeseries
+from flexmove.oscillator import action_value
 from flexmove.timeseries import fmt, read_numeric_csv, write_csv
 from reference import EDGE_CELLS, adversarial_cells, near_tie
 
@@ -56,6 +58,12 @@ class TestTimeSeries:
     def test_rejects_single_sample(self):
         with pytest.raises(ValueError, match="two samples"):
             TimeSeries(t=np.zeros(1), values=np.zeros(1))
+
+    def test_keeps_float64_arrays_as_they_are(self):
+        # neither copied nor converted: a loaded trace's columns are the series' own
+        t, values = np.arange(4) / 8.0, np.zeros(4)
+        series = TimeSeries(t, values)
+        assert series.t is t and series.values is values
 
     @pytest.mark.parametrize("label", [5, None, b"tip"])
     def test_rejects_a_label_that_is_not_a_str(self, label):
@@ -350,15 +358,18 @@ def test_write_csv_writes_any_array_dtype_as_float64(tmp_path_factory, columns):
     assert_written_as_savetxt(tmp_path_factory, columns, as_float64)
 
 
-@pytest.mark.parametrize("columns", [(np.zeros((3, 1)),), (np.zeros(3), np.zeros((3, 2))),
-                                     ([0.0, 1.0], np.array([1 + 2j, 3 - 1j]))],
-                         ids=["2-D", "1-D and 2-D", "complex"])
-def test_write_csv_rejects_a_column_that_is_not_1d_and_real(tmp_path, columns):
+@pytest.mark.parametrize("columns,message", [
+    ((np.zeros((3, 1)),), "^each column must be one-dimensional and real$"),
+    ((np.zeros(3), np.zeros((3, 2))), "^each column must be one-dimensional and real$"),
+    (([0.0, 1.0], np.array([1 + 2j, 3 - 1j])), "^column 'c1' holds a cell that is not a real "
+                                                "number: a complex number$"),
+], ids=["2-D", "1-D and 2-D", "complex"])
+def test_write_csv_rejects_a_column_that_is_not_1d_and_real(tmp_path, columns, message):
     # checked before the file is opened: no file is made, and an existing one keeps its bytes
     path, kept = tmp_path / "table.csv", tmp_path / "kept.csv"
     kept.write_bytes(b"t\n0\n")
     for target in (path, kept):
-        with pytest.raises(ValueError, match="each column must be one-dimensional and real"):
+        with pytest.raises(ValueError, match=message):
             write_csv(target, [f"c{i}" for i in range(len(columns))], columns)
     assert not path.exists() and kept.read_bytes() == b"t\n0\n"
 
@@ -384,6 +395,55 @@ def test_a_cell_that_fails_its_conversion_leaves_no_file(tmp_path, columns):
         with pytest.raises(ValueError):
             write_csv(target, [f"c{i}" for i in range(len(columns))], columns)
     assert not path.exists() and kept.read_bytes() == b"t\n0\n"
+
+
+#: the readers of an array from outside: (the argument's name in a message, the reader
+#: run on three cells and a directory for its file)
+ARRAY_SITES = {
+    "series-t": ("time column", lambda cells, _: TimeSeries(cells, [0.0, 0.0, 0.0])),
+    "series-values": ("value column", lambda cells, _: TimeSeries([0.0, 0.5, 1.0], cells)),
+    "relative_motion-t": ("time t", lambda cells, _: relative_motion(MotionSpec(**BENCH), cells)),
+    "write_csv-column": ("column 'c'",
+                         lambda cells, tmp: write_csv(tmp / "c.csv", ["c"], [cells])),
+    "action_value-position": ("position", lambda cells, _: action_value(
+        MotionSpec(**BENCH), position_fn=lambda t: cells, step=0.01)),
+}
+
+#: arrays that are not arrays of real numbers: (the three cells, a word of the reason
+#: given after "<argument> holds a cell that is not a real number: ")
+NOT_REAL = {
+    "complex-ndarray": (np.array([0.0, 0.5 + 1j, 1.0]), "complex"),
+    "complex-list": ([0.0, 0.5 + 1j, 1.0], "complex"),
+    "complex-object-cell": (np.array([0.0, np.complex64(0.5j), 1.0], dtype=object), "complex"),
+    "int-past-float-ndarray": (np.array([0, 10**400, 1], dtype=object), "too large"),
+    "int-past-float-list": ([0, 10**400, 1], "too large"),
+    "object-cell": ([0.0, object(), 1.0], "object"),
+}
+
+
+@pytest.mark.parametrize("kind", list(NOT_REAL))
+@pytest.mark.parametrize("site", list(ARRAY_SITES))
+def test_an_array_that_is_not_real_is_a_value_error_naming_its_argument(tmp_path, site, kind):
+    # never an OverflowError or a TypeError, and never only a ComplexWarning, which
+    # the warnings filter turns into an error
+    name, read = ARRAY_SITES[site]
+    cells, reason = NOT_REAL[kind]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} holds a cell that is not a real "
+                                         f"number: .*{reason}"):
+        read(cells, tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("site,message", [
+    ("series-t", "time column must hold finite numbers"),
+    ("relative_motion-t", "time outside the motion interval"),
+], ids=["series-t", "relative_motion-t"])
+def test_a_nan_time_is_a_value_error_naming_the_time(tmp_path, site, message):
+    # a nan is no time inside [0, t1], nor a step of a uniform grid
+    with pytest.raises(ValueError, match="^" + message):
+        ARRAY_SITES[site][1]([0.0, math.nan, 1.0], tmp_path)
+    with pytest.raises(ValueError, match="^" + message):
+        ARRAY_SITES[site][1](np.array([0.0, 0.5, math.nan]), tmp_path)
 
 
 def test_a_column_fault_is_a_value_error_that_names_the_column(tmp_path):
